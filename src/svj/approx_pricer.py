@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from . import bs_kernel, heston_moments, jump_laws
-from .errors import ParamError
+from .errors import PRICING_ERRORS, ParamError, check_finite
 from .heston_moments import HestonParams
 from .jump_laws import JumpLaw, LogNormal, SeriesTruncation
 
@@ -39,6 +39,7 @@ class Contract:
     maturity: float
 
     def __post_init__(self):
+        check_finite(self)
         if self.s0 <= 0.0:
             raise ParamError(f"s0 must be > 0, got {self.s0}")
         if self.strike <= 0.0:
@@ -54,11 +55,12 @@ class ModelParams:
     r: float
 
     def __post_init__(self):
+        check_finite(self)
         if self.r < 0.0:
             raise ParamError(f"r must be >= 0, got {self.r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PriceResult:
     price: float
     base_term: float
@@ -67,16 +69,20 @@ class PriceResult:
     truncation: SeriesTruncation
 
 
-def _prep(params: ModelParams, big_t: float):
-    """Shared per-(params, T) quantities: v0, compensated rate, weights."""
-    v0 = heston_moments.avg_expected_variance_v0(params.heston, big_t)
-    k = jump_laws.compensator_k(params.jumps)
-    lam = params.jumps.intensity
-    r_eff = params.r - lam * k
-    trunc = jump_laws.truncate_series(lam * big_t)
-    weights = [jump_laws.poisson_pmf(n, lam * big_t)
-               for n in range(trunc.n_max + 1)]
-    return v0, k, r_eff, trunc, weights
+def term_inputs(n: int, params: ModelParams, v0: float, big_t: float) -> tuple:
+    """(scale, vol, rate) of the n-jump term.
+
+    G_n = scale * bs_price(x, vol, K, rate, T) for LogNormal amplitudes
+    (the shifted closed form), and scale * E[bs_price(x + J_n, vol, K,
+    rate, T)] otherwise; the Gamma2 and LambdaGamma images use the same
+    inputs.
+    """
+    jumps = params.jumps
+    if isinstance(jumps.variant, LogNormal):
+        vol, rate = jump_laws.lognormal_shift(n, jumps, v0, params.r, big_t)
+        return math.exp((rate - params.r) * big_t), vol, rate
+    lam_k = jumps.intensity * jump_laws.compensator_k(jumps)
+    return math.exp(-lam_k * big_t), v0, params.r - lam_k
 
 
 def gn_term(n: int, params: ModelParams, contract: Contract) -> tuple:
@@ -85,31 +91,22 @@ def gn_term(n: int, params: ModelParams, contract: Contract) -> tuple:
     Values are under the pricing measure (the e^(-lambda k T) mixture
     discount included), so sum_n p_n G_n alone prices the nu=0 model.
     """
-    x = math.log(contract.s0)
-    big_t = contract.maturity
-    v0, k, r_eff, _, _ = _prep(params, big_t)
-    return _gn_triple(n, params, contract, x, v0, k, r_eff)
+    v0 = heston_moments.avg_expected_variance_v0(params.heston,
+                                                 contract.maturity)
+    return _gn_triple(n, params, contract, math.log(contract.s0), v0)
 
 
-def _gn_triple(n, params, contract, x, v0, k, r_eff):
+def _gn_triple(n, params, contract, x, v0):
     big_t = contract.maturity
     strike = contract.strike
-    lam = params.jumps.intensity
+    scale, vol, rate = term_inputs(n, params, v0, big_t)
     if isinstance(params.jumps.variant, LogNormal):
-        vt, rt = jump_laws.lognormal_shift(n, params.jumps, v0, params.r, big_t)
-        scale = math.exp((rt - params.r) * big_t)
-        g = scale * bs_kernel.bs_price(x, vt, strike, rt, big_t)
-        g2 = scale * bs_kernel.gamma2_bs(x, vt, strike, rt, big_t)
-        lg = scale * bs_kernel.lambda_gamma_bs(x, vt, strike, rt, big_t)
-        return g, g2, lg
-    scale = math.exp(-lam * k * big_t)
-    g = scale * jump_laws.gn_generic(x, n, params.jumps, v0, r_eff, strike,
-                                     big_t, kernel="price")
-    g2 = scale * jump_laws.gn_generic(x, n, params.jumps, v0, r_eff, strike,
-                                      big_t, kernel="gamma2")
-    lg = scale * jump_laws.gn_generic(x, n, params.jumps, v0, r_eff, strike,
-                                      big_t, kernel="lambda_gamma")
-    return g, g2, lg
+        return (scale * bs_kernel.bs_price(x, vol, strike, rate, big_t),
+                scale * bs_kernel.gamma2_bs(x, vol, strike, rate, big_t),
+                scale * bs_kernel.lambda_gamma_bs(x, vol, strike, rate, big_t))
+    return tuple(scale * jump_laws.gn_generic(x, n, params.jumps, vol, rate,
+                                              strike, big_t, kernel=kernel)
+                 for kernel in ("price", "gamma2", "lambda_gamma"))
 
 
 def price_approx(params: ModelParams, contract: Contract,
@@ -121,16 +118,14 @@ def price_approx(params: ModelParams, contract: Contract,
     """
     x = math.log(contract.s0)
     big_t = contract.maturity
-    v0, k, r_eff, _, _ = _prep(params, big_t)
-    lam = params.jumps.intensity
-    trunc = jump_laws.truncate_series(lam * big_t, tol)
+    v0 = heston_moments.avg_expected_variance_v0(params.heston, big_t)
+    trunc = jump_laws.truncate_series(params.jumps.intensity * big_t, tol)
     u0v = heston_moments.u0(params.heston, big_t)
     r0v = heston_moments.r0(params.heston, big_t)
 
     g_parts, g2_parts, lg_parts = [], [], []
-    for n in range(trunc.n_max + 1):
-        p_n = jump_laws.poisson_pmf(n, lam * big_t)
-        g, g2, lg = _gn_triple(n, params, contract, x, v0, k, r_eff)
+    for n, p_n in enumerate(trunc.weights):
+        g, g2, lg = _gn_triple(n, params, contract, x, v0)
         g_parts.append(p_n * g)
         g2_parts.append(p_n * g2)
         lg_parts.append(p_n * lg)
@@ -155,6 +150,6 @@ def price_smile(params: ModelParams, s0: float, strikes, big_t: float,
         try:
             out.append((strike, price_approx(
                 params, Contract(s0=s0, strike=strike, maturity=big_t), tol)))
-        except (ParamError, ArithmeticError) as exc:
+        except PRICING_ERRORS as exc:
             out.append((strike, exc))
     return out

@@ -12,16 +12,14 @@ import dataclasses
 import math
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .approx_pricer import Contract, ModelParams, price_approx
-from .errors import (BracketError, DomainError, NumericalError, ParamError,
-                     QuadratureError, SeriesTruncationError)
+from .errors import PRICING_ERRORS, ParamError
 from .heston_moments import HestonParams
-from .jump_laws import JumpLaw, LogNormal
+from .jump_laws import JumpLaw, Kou, LogNormal, LogUniform
 from .mc_oracle import McConfig, mc_price
 from .reference_pricer import implied_vol_invert, price_reference
 
@@ -45,9 +43,9 @@ PARAM_RANGES = {
 }
 BENCH_RATE = 0.001
 
-_ROW_ERRORS = (ParamError, DomainError, NumericalError, QuadratureError,
-               SeriesTruncationError, BracketError, OverflowError,
-               ZeroDivisionError)
+# params-file spelling of the jump amplitude laws; a law's fields are
+# stored under the names of its dataclass fields
+JUMP_TYPES = {"lognormal": LogNormal, "kou": Kou, "loguniform": LogUniform}
 
 
 @dataclass(frozen=True)
@@ -94,13 +92,31 @@ def sample_param_sets(n: int, seed: int, r: float = BENCH_RATE) -> list:
 
 @dataclass
 class SmileRow:
+    """One strike of a smile.
+
+    Each leg is computed on its own: a cell whose computation failed, or
+    that is derived from such a cell, stays NaN, and `failures` maps each
+    failed cell to "Type: message".
+    """
     strike: float
     maturity: float
     approx_price: float = math.nan
     ref_price: float = math.nan
     approx_iv: float = math.nan
     ref_iv: float = math.nan
-    error: str = ""
+    failures: dict = field(default_factory=dict)
+
+    @property
+    def error(self) -> str:
+        """"Type: message" of the first failure; empty on a clean row."""
+        return next(iter(self.failures.values()), "")
+
+    def fill(self, column: str, compute) -> None:
+        """Set a cell to compute(), or record why that failed."""
+        try:
+            setattr(self, column, compute())
+        except PRICING_ERRORS as exc:
+            self.failures[column] = f"{type(exc).__name__}: {exc}"
 
     @property
     def abs_error(self) -> float:
@@ -127,15 +143,17 @@ class SmileReport:
         cols = ["strike", "maturity", "approx_price", "ref_price", "abs_error"]
         if self.with_iv:
             cols += ["approx_iv", "ref_iv", "iv_abs_error"]
-        lines = [",".join(cols)]
-        for row in self.rows:
-            if row.error:
-                vals = [_fmt(row.strike), _fmt(row.maturity)]
-                vals += ["ERROR"] * (len(cols) - 2)
-            else:
-                vals = [_fmt(getattr(row, c)) for c in cols]
-            lines.append(",".join(vals))
-        return "\n".join(lines) + "\n"
+        return rows_to_csv(self.rows, cols)
+
+
+def rows_to_csv(rows, cols) -> str:
+    """CSV of SmileRow columns; a NaN cell of a failed row prints ERROR."""
+    lines = [",".join(cols)]
+    for row in rows:
+        vals = (getattr(row, c) for c in cols)
+        lines.append(",".join("ERROR" if row.failures and math.isnan(v)
+                              else _fmt(v) for v in vals))
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(v: float) -> str:
@@ -144,33 +162,27 @@ def _fmt(v: float) -> str:
 
 def _smile_row(params: ModelParams, contract: Contract, with_iv: bool) -> SmileRow:
     row = SmileRow(strike=contract.strike, maturity=contract.maturity)
-    try:
-        row.approx_price = price_approx(params, contract).price
-        row.ref_price = price_reference(params, contract)
-        if with_iv:
-            row.approx_iv = implied_vol_invert(row.approx_price, contract, params.r)
-            row.ref_iv = implied_vol_invert(row.ref_price, contract, params.r)
-    except _ROW_ERRORS as exc:
-        row.error = f"{type(exc).__name__}: {exc}"
+    row.fill("approx_price", lambda: price_approx(params, contract).price)
+    row.fill("ref_price", lambda: price_reference(params, contract))
+    if with_iv:
+        for column, price in (("approx_iv", row.approx_price),
+                              ("ref_iv", row.ref_price)):
+            if not math.isnan(price):
+                row.fill(column, lambda: implied_vol_invert(price, contract,
+                                                            params.r))
     return row
 
 
 def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
-              with_iv: bool = False, workers: int = 1) -> SmileReport:
+              with_iv: bool = False) -> SmileReport:
     """Price/IV rows for ascending strikes; failures keep their row."""
     contracts = [Contract(s0=s0, strike=float(k), maturity=maturity)
                  for k in sorted(strikes)]
     t0 = time.perf_counter()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _smile_row(params, c, with_iv),
-                                 contracts))
-    else:
-        rows = [_smile_row(params, c, with_iv) for c in contracts]
+    rows = [_smile_row(params, c, with_iv) for c in contracts]
     wall = time.perf_counter() - t0
     return SmileReport(rows=rows, params_echo=params_to_dict(params, s0),
-                       timings={"wall_s": wall, "workers": workers},
-                       with_iv=with_iv)
+                       timings={"wall_s": wall}, with_iv=with_iv)
 
 
 def _method_fn(name: str):
@@ -192,7 +204,7 @@ def _price_pass(fn, param_sets, batch):
         for contract in batch:
             try:
                 acc.append(fn(mp, contract))
-            except _ROW_ERRORS:
+            except PRICING_ERRORS:
                 failures += 1
     wall = time.perf_counter() - t0
     return wall, math.fsum(acc), failures
@@ -283,19 +295,57 @@ def mc_check(params: ModelParams, contract: Contract, cfg: McConfig,
 
 def params_to_dict(params: ModelParams, s0: float = None) -> dict:
     """JSON-ready echo of a parameter set (params-file key layout)."""
-    h = params.heston
-    v = params.jumps.variant
-    if isinstance(v, LogNormal):
-        jump = {"type": "lognormal", "lambda": params.jumps.intensity,
-                "mu_j": v.mu_j, "sigma_j": v.sigma_j}
-    elif hasattr(v, "eta1"):
-        jump = {"type": "kou", "lambda": params.jumps.intensity,
-                "p": v.p, "eta1": v.eta1, "eta2": v.eta2}
-    else:
-        jump = {"type": "loguniform", "lambda": params.jumps.intensity,
-                "a": v.a, "b": v.b}
-    out = {"r": params.r, "sigma0_sq": h.sigma0_sq, "kappa": h.kappa,
-           "theta": h.theta, "nu": h.nu, "rho": h.rho, "jump": jump}
+    jumps = params.jumps
+    jtype = next(name for name, law in JUMP_TYPES.items()
+                 if isinstance(jumps.variant, law))
+    out = {"r": params.r, **dataclasses.asdict(params.heston),
+           "jump": {"type": jtype, "lambda": jumps.intensity,
+                    **dataclasses.asdict(jumps.variant)}}
     if s0 is not None:
         out["s0"] = s0
     return out
+
+
+def params_from_dict(data, nu: float = None, rho: float = None) -> tuple:
+    """(ModelParams, s0) from the layout params_to_dict writes.
+
+    nu/rho fill or override the dict's values; the shipped footnote file
+    leaves them null because the experiments vary them. s0 defaults to
+    BATCH_S0.
+    """
+    if not isinstance(data, dict):
+        raise ParamError("params file must hold a JSON object")
+    overrides = {"nu": nu, "rho": rho}
+    data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
+
+    def number(obj, key):
+        val = obj.get(key)
+        if val is None:
+            hint = (" (set it in the file or pass the matching flag)"
+                    if key in overrides else "")
+            raise ParamError(f"missing parameter {key!r}{hint}")
+        try:
+            return float(val)
+        except (TypeError, ValueError):
+            raise ParamError(f"parameter {key!r} must be a number, got {val!r}")
+
+    heston = HestonParams(**{f.name: number(data, f.name)
+                             for f in dataclasses.fields(HestonParams)})
+    jd = data.get("jump")
+    if not isinstance(jd, dict):
+        raise ParamError("params file needs a 'jump' object")
+    jtype = jd.get("type")
+    if jtype not in JUMP_TYPES:
+        raise ParamError(f"unknown jump type {jtype!r}; expected one of "
+                         f"{sorted(JUMP_TYPES)}")
+    law = JUMP_TYPES[jtype]
+    variant = law(**{f.name: number(jd, f.name)
+                     for f in dataclasses.fields(law)})
+    params = ModelParams(heston=heston,
+                         jumps=JumpLaw(intensity=number(jd, "lambda"),
+                                       variant=variant),
+                         r=number(data, "r"))
+    s0 = number(data, "s0") if "s0" in data else BATCH_S0
+    if not (math.isfinite(s0) and s0 > 0.0):
+        raise ParamError(f"s0 must be finite and > 0, got {s0}")
+    return params, s0

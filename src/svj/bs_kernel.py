@@ -16,7 +16,6 @@ With D := d/dx, the operators are L = D and G = D^2 - D. Closed forms:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -26,24 +25,6 @@ from .errors import DomainError
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # below this y*sqrt(tau) the lognormal degenerates to a point mass
 DEGENERATE_EPS = 1e-12
-
-
-class BsInputs(NamedTuple):
-    """Grouped arguments for the kernel functions."""
-    t: float
-    x: float
-    y: float
-    strike: float
-    r: float
-    big_t: float
-
-    @property
-    def tau(self) -> float:
-        return self.big_t - self.t
-
-    def as_args(self):
-        """(x, y, strike, r, tau) tuple for unpacking into the kernel."""
-        return (self.x, self.y, self.strike, self.r, self.tau)
 
 
 def norm_cdf(z: float) -> float:

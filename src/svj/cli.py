@@ -1,37 +1,22 @@
 """Command-line front end.
 
 Subcommands: price, smile, iv, bench, mc-check, sample-params.
-Exit codes: 0 ok, 2 parse/validation error, 3 numerical failure,
-4 failed Monte Carlo agreement check. SVJ_THREADS overrides the worker
-count used for smile/iv row pricing (timing runs stay single-thread).
+Exit codes: 0 ok, 2 parse/validation error (ParamError), 3 numerical
+failure (ArithmeticError), 4 failed Monte Carlo agreement check.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 from . import bench
-from .approx_pricer import Contract, ModelParams, price_approx
-from .errors import (BracketError, DomainError, NumericalError, ParamError,
-                     QuadratureError, SeriesTruncationError)
-from .heston_moments import HestonParams
+from .approx_pricer import Contract, price_approx
+from .errors import ParamError
 from .implied_vol import iv_surface_approx
-from .jump_laws import JumpLaw, Kou, LogNormal, LogUniform
 from .mc_oracle import McConfig
-from .reference_pricer import implied_vol_invert, price_reference
-
-_NUMERICAL_ERRORS = (NumericalError, QuadratureError, SeriesTruncationError,
-                     BracketError, OverflowError, ZeroDivisionError)
-
-_JUMP_BUILDERS = {
-    "lognormal": (("mu_j", "sigma_j"), LogNormal),
-    "kou": (("p", "eta1", "eta2"), Kou),
-    "loguniform": (("a", "b"), LogUniform),
-}
 
 
 def load_params(path: str, nu: float = None, rho: float = None):
@@ -46,41 +31,7 @@ def load_params(path: str, nu: float = None, rho: float = None):
         raise ParamError(f"cannot read params file: {exc}")
     except json.JSONDecodeError as exc:
         raise ParamError(f"params file is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ParamError("params file must hold a JSON object")
-
-    def need(key, override=None):
-        val = override if override is not None else data.get(key)
-        if val is None:
-            raise ParamError(f"missing parameter {key!r} (set it in the file "
-                             "or pass the matching flag)")
-        return float(val)
-
-    heston = HestonParams(kappa=need("kappa"), theta=need("theta"),
-                          nu=need("nu", nu), rho=need("rho", rho),
-                          sigma0_sq=need("sigma0_sq"))
-    jd = data.get("jump")
-    if not isinstance(jd, dict):
-        raise ParamError("params file needs a 'jump' object")
-    jtype = jd.get("type")
-    if jtype not in _JUMP_BUILDERS:
-        raise ParamError(f"unknown jump type {jtype!r}; expected one of "
-                         f"{sorted(_JUMP_BUILDERS)}")
-    fields, builder = _JUMP_BUILDERS[jtype]
-    try:
-        variant = builder(**{f: float(jd[f]) for f in fields})
-    except KeyError as exc:
-        raise ParamError(f"jump type {jtype!r} needs field {exc}")
-    lam = jd.get("lambda")
-    if lam is None:
-        raise ParamError("jump object needs 'lambda'")
-    params = ModelParams(heston=heston,
-                         jumps=JumpLaw(intensity=float(lam), variant=variant),
-                         r=need("r"))
-    s0 = float(data.get("s0", 100.0))
-    if s0 <= 0.0:
-        raise ParamError("s0 must be > 0")
-    return params, s0
+    return bench.params_from_dict(data, nu, rho)
 
 
 def parse_strikes(spec: str) -> list:
@@ -93,6 +44,8 @@ def parse_strikes(spec: str) -> list:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ParamError(f"non-numeric strike range {spec!r}")
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ParamError(f"strike range must be finite, got {spec!r}")
         if step <= 0 or stop < start:
             raise ParamError("strike range needs step > 0 and stop >= start")
         out = []
@@ -113,19 +66,17 @@ def parse_strikes(spec: str) -> list:
     return out
 
 
-def _workers() -> int:
-    raw = os.environ.get("SVJ_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParamError(f"SVJ_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ParamError("SVJ_THREADS must be >= 1")
-    return n
-
-
 def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
+
+
+def _emit_rows(report, csv: str) -> int:
+    """Print a smile CSV; exit 3 if any of its rows failed."""
+    sys.stdout.write(csv)
+    if report.n_failed:
+        print(f"{report.n_failed} row(s) failed", file=sys.stderr)
+        return 3
+    return 0
 
 
 def cmd_price(args) -> int:
@@ -149,40 +100,24 @@ def cmd_price(args) -> int:
 def cmd_smile(args) -> int:
     params, s0 = load_params(args.params, args.nu, args.rho)
     report = bench.run_smile(params, s0, parse_strikes(args.strikes),
-                             args.maturity, with_iv=args.iv,
-                             workers=_workers())
-    sys.stdout.write(report.to_csv())
-    if report.n_failed:
-        print(f"{report.n_failed} row(s) failed", file=sys.stderr)
-        return 3
-    return 0
+                             args.maturity, with_iv=args.iv)
+    return _emit_rows(report, report.to_csv())
 
 
 def cmd_iv(args) -> int:
     params, s0 = load_params(args.params, args.nu, args.rho)
     report = bench.run_smile(params, s0, parse_strikes(args.strikes),
-                             args.maturity, with_iv=True, workers=_workers())
-    lines = ["strike,maturity,approx_iv,ref_iv,iv_abs_error"]
-    failed = 0
-    for row in report.rows:
-        if not row.error and args.analytic:
-            try:
-                row.approx_iv = iv_surface_approx(params, row.strike,
-                                                  args.maturity, s0).iv_approx
-            except _NUMERICAL_ERRORS + (ParamError, DomainError) as exc:
-                row.error = f"{type(exc).__name__}: {exc}"
-        if row.error:
-            failed += 1
-            lines.append(f"{row.strike:.17g},{row.maturity:.17g},ERROR,ERROR,ERROR")
-        else:
-            lines.append(",".join(f"{v:.17g}" for v in
-                                  (row.strike, row.maturity, row.approx_iv,
-                                   row.ref_iv, row.iv_abs_error)))
-    sys.stdout.write("\n".join(lines) + "\n")
-    if failed:
-        print(f"{failed} row(s) failed", file=sys.stderr)
-        return 3
-    return 0
+                             args.maturity, with_iv=True)
+    if args.analytic:
+        for row in report.rows:
+            row.approx_iv = math.nan
+            row.failures.pop("approx_iv", None)
+            if "approx_price" not in row.failures:
+                row.fill("approx_iv", lambda: iv_surface_approx(
+                    params, row.strike, args.maturity, s0).iv_approx)
+    return _emit_rows(report, bench.rows_to_csv(
+        report.rows, ["strike", "maturity", "approx_iv", "ref_iv",
+                      "iv_abs_error"]))
 
 
 def cmd_bench(args) -> int:
@@ -292,10 +227,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParamError, DomainError) as exc:
+    except ParamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3

@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ParamError -> 2, NumericalError
-(and subclasses) -> 3. Library code raises, it never calls sys.exit.
+The CLI maps these onto exit codes: ParamError -> 2, ArithmeticError
+(NumericalError and its subclasses, OverflowError, ZeroDivisionError)
+-> 3. Library code raises, it never calls sys.exit.
 """
+import dataclasses
+import math
 
 
 class ParamError(ValueError):
@@ -31,3 +34,17 @@ class SeriesTruncationError(NumericalError):
 
 class BracketError(NumericalError):
     """Root bracketing failed (e.g. price outside no-arbitrage bounds)."""
+
+
+# everything a pricing call raises on bad inputs or a failed numerical
+# step; per-row and per-option failure handling catches exactly this
+PRICING_ERRORS = (ParamError, ArithmeticError)
+
+
+def check_finite(obj) -> None:
+    """Raise ParamError naming the first float field of a dataclass that
+    is NaN or infinite."""
+    for f in dataclasses.fields(obj):
+        val = getattr(obj, f.name)
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ParamError(f"{f.name} must be finite, got {val}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParamError
+from .errors import ParamError, check_finite
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class HestonParams:
     sigma0_sq: float
 
     def __post_init__(self):
-        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
+        check_finite(self)
+        if not self.kappa > 0.0:
             raise ParamError(f"kappa must be > 0, got {self.kappa}")
         if self.theta < 0.0:
             raise ParamError(f"theta must be >= 0, got {self.theta}")

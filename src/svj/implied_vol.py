@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from . import bs_kernel, heston_moments, jump_laws
-from .approx_pricer import Contract, ModelParams, price_approx
+from .approx_pricer import Contract, ModelParams, price_approx, term_inputs
 from .errors import ParamError
 from .jump_laws import LogNormal
 
@@ -117,15 +117,13 @@ def iv_atm_display(params: ModelParams, big_t: float, s0: float) -> float:
         raise ParamError("ATM display needs log-normal amplitudes")
     h = params.heston
     v0 = heston_moments.avg_expected_variance_v0(h, big_t)
-    lam_t = params.jumps.intensity * big_t
-    trunc = jump_laws.truncate_series(lam_t)
+    trunc = jump_laws.truncate_series(params.jumps.intensity * big_t)
     u0v = heston_moments.u0(h, big_t)
     r0v = heston_moments.r0(h, big_t)
     s1 = []
     s2 = []
-    for n in range(trunc.n_max + 1):
-        p_n = jump_laws.poisson_pmf(n, lam_t)
-        vt, rt = jump_laws.lognormal_shift(n, params.jumps, v0, params.r, big_t)
+    for n, p_n in enumerate(trunc.weights):
+        _, vt, rt = term_inputs(n, params, v0, big_t)
         c_n = rt - params.r
         vt2 = vt * vt
         g_atm = -0.5 * (c_n * big_t + c_n * c_n * big_t / vt2)

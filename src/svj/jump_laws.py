@@ -29,7 +29,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import bs_kernel
-from .errors import ParamError, SeriesTruncationError
+from .errors import ParamError, SeriesTruncationError, check_finite
 from .quadrature import QuadratureConfig, gk15_adaptive
 
 
@@ -42,6 +42,7 @@ class LogNormal:
     sigma_j: float
 
     def __post_init__(self):
+        check_finite(self)
         if self.sigma_j < 0.0:
             raise ParamError(f"sigma_j must be >= 0, got {self.sigma_j}")
 
@@ -53,6 +54,7 @@ class Kou:
     eta2: float
 
     def __post_init__(self):
+        check_finite(self)
         if not 0.0 <= self.p <= 1.0:
             raise ParamError(f"p must be in [0, 1], got {self.p}")
         if not self.eta1 > 1.0:
@@ -71,6 +73,7 @@ class LogUniform:
     b: float
 
     def __post_init__(self):
+        check_finite(self)
         if not self.a < self.b:
             raise ParamError(f"need a < b, got a={self.a}, b={self.b}")
 
@@ -85,6 +88,7 @@ class JumpLaw:
     variant: Variant
 
     def __post_init__(self):
+        check_finite(self)
         if self.intensity < 0.0:
             raise ParamError(f"intensity must be >= 0, got {self.intensity}")
         if not isinstance(self.variant, (LogNormal, Kou, LogUniform)):
@@ -98,11 +102,13 @@ def _variant(law) -> Variant:
 # ---------------------------------------------------------------------------
 # Poisson series
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesTruncation:
+    """Where the Poisson series stops, and its weights p_0 .. p_{n_max}."""
     n_max: int
     tail_mass: float
     tolerance: float
+    weights: tuple
 
 
 def poisson_pmf(n: int, lambda_t: float) -> float:
@@ -122,17 +128,20 @@ N_MAX_CAP = 200
 
 def truncate_series(lambda_t: float, tol: float = DEFAULT_SERIES_TOL,
                     cap: int = N_MAX_CAP) -> SeriesTruncation:
-    """Smallest n_max whose Poisson tail mass is <= tol."""
+    """Smallest n_max whose Poisson tail mass is <= tol.
+
+    The pmf values summed on the way are returned as the series weights,
+    so a pricer never evaluates them a second time.
+    """
     if not 0.0 < tol < 1.0:
         raise ParamError(f"tol must be in (0, 1), got {tol}")
-    if lambda_t == 0.0:
-        return SeriesTruncation(n_max=0, tail_mass=0.0, tolerance=tol)
     pmf = []
     for n in range(cap + 1):
         pmf.append(poisson_pmf(n, lambda_t))
         tail = 1.0 - math.fsum(pmf)
         if tail <= tol:
-            return SeriesTruncation(n_max=n, tail_mass=max(0.0, tail), tolerance=tol)
+            return SeriesTruncation(n_max=n, tail_mass=max(0.0, tail),
+                                    tolerance=tol, weights=tuple(pmf))
     raise SeriesTruncationError(
         f"Poisson tail above {tol} after {cap} terms (lambda_T={lambda_t})")
 

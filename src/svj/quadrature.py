@@ -45,7 +45,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 512
-    rule: str = "GK15"
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,6 @@ def gk15_adaptive(f, a: float, b: float,
     before the error estimate meets max(abs_tol, rel_tol*|integral|),
     or if the integrand returns non-finite values.
     """
-    if config.rule != "GK15":
-        raise ValueError(f"unsupported rule {config.rule!r}")
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("gk15_adaptive needs finite endpoints; transform first")
     if a == b:

@@ -28,6 +28,30 @@ def test_footnote_atm_regression():
     assert res.price == pytest.approx(10.871517802292965, abs=1e-12)
 
 
+def test_series_is_walked_once(monkeypatch):
+    """One truncation, whose pmf values are the weights; one v0, u0, r0."""
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapped(*a, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*a, **kw)
+        monkeypatch.setattr(module, name, wrapped)
+
+    for name in ("truncate_series", "poisson_pmf"):
+        count(jump_laws, name)
+    for name in ("avg_expected_variance_v0", "u0", "r0"):
+        count(heston_moments, name)
+    params = make_params(nu=0.3, rho=-0.5, lam=0.5)
+    res = price_approx(params, Contract(s0=100.0, strike=90.0, maturity=2.0))
+    assert res.truncation.n_max > 5
+    assert calls == {"truncate_series": 1,
+                     "poisson_pmf": res.truncation.n_max + 1,
+                     "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
+
+
 def test_base_term_uses_frozen_gn_values():
     """n=1 and n=2 mixture terms agree with the 50-digit oracle."""
     from svj.approx_pricer import gn_term

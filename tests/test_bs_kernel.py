@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _frozen as fz
@@ -94,9 +94,12 @@ def test_lambda_gamma_is_dx_of_gamma(x, y, k, r, t):
 
 
 @given(**moderate)
+@example(x=4.0764, y=0.0801, k=60.0, r=0.0, t=0.05)
 @settings(max_examples=60, deadline=None)
 def test_gamma2_is_gamma_of_gamma(x, y, k, r, t):
-    h = 1e-4
+    # the step scales with the lognormal width y*sqrt(t): a fixed 1e-4 is
+    # 0.6% of the width at the pinned example, where its error is 1.4e-3
+    h = 1e-3 * y * math.sqrt(t)
     g = lambda xx: gamma_bs(xx, y, k, r, t)
     d1 = (g(x + h) - g(x - h)) / (2.0 * h)
     d2 = (g(x + h) - 2.0 * g(x) + g(x - h)) / (h * h)

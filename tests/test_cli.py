@@ -122,6 +122,73 @@ def test_smile_failed_rows_exit_3(capsys, monkeypatch):
     assert "failed" in err
 
 
+def test_smile_keeps_valid_legs_of_a_failed_row(tmp_path, capsys):
+    """At K=130 the approximation's price is negative, so only its IV and
+    the IV gap cannot exist; both prices, their gap and the reference IV
+    are still printed."""
+    pfile = tmp_path / "set15.json"
+    mp = bench.sample_param_sets(40, seed=11)[15]
+    pfile.write_text(json.dumps(bench.params_to_dict(mp, 100.0)))
+    args = ["--params", str(pfile), "--strikes", "120,130,140",
+            "--maturity", "0.1"]
+    code, out, err = run_cli(capsys, ["smile", *args, "--iv"])
+    assert code == 3
+    assert "1 row(s) failed" in err
+    rows = {line.split(",")[0]: line.split(",")[2:]
+            for line in out.strip().split("\n")[1:]}
+    approx, ref, gap, approx_iv, ref_iv, iv_gap = rows["130"]
+    assert float(approx) < 0.0 < float(ref)
+    assert float(gap) == pytest.approx(float(ref) - float(approx), rel=1e-15)
+    assert (approx_iv, iv_gap) == ("ERROR", "ERROR")
+    assert float(ref_iv) > 0.0
+    assert "ERROR" not in rows["120"] + rows["140"]
+
+    code, out, _ = run_cli(capsys, ["iv", *args])
+    assert code == 3
+    assert out.split("\n")[2].split(",")[2:] == ["ERROR", ref_iv, "ERROR"]
+    # the analytic surface needs no inversion of the negative price
+    code, out, _ = run_cli(capsys, ["iv", *args, "--analytic"])
+    assert code == 0
+    assert "ERROR" not in out
+
+
+@pytest.mark.parametrize("command", [
+    ["price", "--strike", "100", "--maturity", "0.3"],
+    ["smile", "--strikes", "90,100", "--maturity", "0.3"]])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_param_exit_2(tmp_path, capsys, command, value):
+    doc = json.loads(FOOTNOTE.read_text())
+    doc["nu"], doc["rho"] = 0.05, -0.2
+    doc["sigma0_sq"] = value
+    pfile = tmp_path / "nonfinite.json"
+    pfile.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, [*command, "--params", str(pfile)])
+    assert code == 2
+    assert out == ""
+    assert "sigma0_sq must be finite" in err
+
+
+def test_error_classes_map_to_exit_codes(capsys, monkeypatch):
+    """Any ParamError exits 2 and any ArithmeticError exits 3, subclasses
+    the CLI does not name included."""
+    class OddParam(ParamError):
+        pass
+
+    class OddArithmetic(ArithmeticError):
+        pass
+
+    argv = ["price", "--params", str(FOOTNOTE), "--nu", "0.05",
+            "--rho", "-0.2", "--strike", "100", "--maturity", "0.3"]
+    for exc, want in ((OddParam("bad"), 2), (OddArithmetic("nan"), 3),
+                      (FloatingPointError("underflow"), 3)):
+        def boom(*a, **kw):
+            raise exc
+        monkeypatch.setattr(cli, "price_approx", boom)
+        code, _, err = run_cli(capsys, argv)
+        assert code == want
+        assert str(exc) in err
+
+
 def test_parse_strikes_forms():
     assert cli.parse_strikes("90,100,110") == [90.0, 100.0, 110.0]
     assert cli.parse_strikes("80:120:20") == [80.0, 100.0, 120.0]
@@ -130,6 +197,9 @@ def test_parse_strikes_forms():
         cli.parse_strikes("100:90:5")
     with pytest.raises(ParamError):
         cli.parse_strikes("a,b")
+    for spec in ("nan:100:10", "80:inf:10", "80:120:nan"):
+        with pytest.raises(ParamError):
+            cli.parse_strikes(spec)
 
 
 def test_console_script_smoke():

@@ -51,6 +51,14 @@ def test_truncation_tail_bound():
         assert tr.tail_mass <= 1e-12
 
 
+def test_truncation_weights_are_the_pmf():
+    for lam_t in (0.0, 0.015, 0.5, 3.0, 25.0):
+        tr = truncate_series(lam_t)
+        assert tr.weights == tuple(poisson_pmf(n, lam_t)
+                                   for n in range(tr.n_max + 1))
+    assert truncate_series(0.0).weights == (1.0,)
+
+
 def test_truncation_cap_raises():
     with pytest.raises(SeriesTruncationError):
         truncate_series(500.0, tol=1e-12)
