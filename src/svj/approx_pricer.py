@@ -19,6 +19,9 @@ evaluation removes; without it the n >= 1 terms are biased by a factor
 (1+k)^n e^(-lambda k T), which at typical jump sizes is ~1e-2 of price).
 Kou and LogUniform amplitudes go through adaptive quadrature against
 the n-fold convolution density.
+
+All but the kernel evaluations depend on (params, T) alone, not on the
+strike: maturity_terms computes them once per maturity.
 """
 from __future__ import annotations
 
@@ -85,71 +88,90 @@ def term_inputs(n: int, params: ModelParams, v0: float, big_t: float) -> tuple:
     return math.exp(-lam_k * big_t), v0, params.r - lam_k
 
 
-def gn_term(n: int, params: ModelParams, contract: Contract) -> tuple:
-    """(G_n, Gamma2 G_n, LambdaGamma G_n) at t=0, x=ln s0.
-
-    Values are under the pricing measure (the e^(-lambda k T) mixture
-    discount included), so sum_n p_n G_n alone prices the nu=0 model.
-    """
-    v0 = heston_moments.avg_expected_variance_v0(params.heston,
-                                                 contract.maturity)
-    return _gn_triple(n, params, contract, math.log(contract.s0), v0)
-
-
-def _gn_triple(n, params, contract, x, v0):
-    big_t = contract.maturity
-    strike = contract.strike
-    scale, vol, rate = term_inputs(n, params, v0, big_t)
-    if isinstance(params.jumps.variant, LogNormal):
-        return (scale * bs_kernel.bs_price(x, vol, strike, rate, big_t),
-                scale * bs_kernel.gamma2_bs(x, vol, strike, rate, big_t),
-                scale * bs_kernel.lambda_gamma_bs(x, vol, strike, rate, big_t))
-    return tuple(scale * jump_laws.gn_generic(x, n, params.jumps, vol, rate,
-                                              strike, big_t, kernel=kernel)
-                 for kernel in ("price", "gamma2", "lambda_gamma"))
+@dataclass(frozen=True, slots=True)
+class MaturityTerms:
+    """Strike-free inputs at one (params, T); terms holds one
+    (p_n, scale, vol, rate) per n = 0..n_max, see term_inputs."""
+    params: ModelParams
+    maturity: float
+    v0: float
+    u0: float
+    r0: float
+    truncation: SeriesTruncation
+    terms: tuple
 
 
-def price_approx(params: ModelParams, contract: Contract,
-                 tol: float = jump_laws.DEFAULT_SERIES_TOL) -> PriceResult:
-    """Three-term decomposition price; terms reported separately.
-
-    price = base_term + r0_term + u0_term holds bit-exactly (each term
-    is its own compensated sum; the final add is the only combination).
-    """
-    x = math.log(contract.s0)
-    big_t = contract.maturity
+def maturity_terms(params: ModelParams, big_t: float,
+                   tol: float = jump_laws.DEFAULT_SERIES_TOL) -> MaturityTerms:
+    """v0, u0, r0, the Poisson truncation and every term's inputs at T."""
+    if not (math.isfinite(big_t) and big_t > 0.0):
+        raise ParamError(f"maturity must be finite and > 0, got {big_t}")
     v0 = heston_moments.avg_expected_variance_v0(params.heston, big_t)
     trunc = jump_laws.truncate_series(params.jumps.intensity * big_t, tol)
     u0v = heston_moments.u0(params.heston, big_t)
     r0v = heston_moments.r0(params.heston, big_t)
+    terms = tuple((p_n, *term_inputs(n, params, v0, big_t))
+                  for n, p_n in enumerate(trunc.weights))
+    return MaturityTerms(params=params, maturity=big_t, v0=v0, u0=u0v, r0=r0v,
+                         truncation=trunc, terms=terms)
+
+
+def price_approx(params: ModelParams, contract: Contract,
+                 mt: MaturityTerms = None) -> PriceResult:
+    """Three-term decomposition price; terms reported separately.
+
+    mt defaults to maturity_terms(params, contract.maturity). price =
+    base_term + r0_term + u0_term holds bit-exactly (each term is its own
+    compensated sum; the final add is the only combination).
+    """
+    big_t = contract.maturity
+    if mt is None:
+        mt = maturity_terms(params, big_t)
+    elif mt.maturity != big_t or mt.params != params:
+        raise ParamError("maturity terms of other params or another maturity")
+    x = math.log(contract.s0)
+    strike = contract.strike
 
     g_parts, g2_parts, lg_parts = [], [], []
-    for n, p_n in enumerate(trunc.weights):
-        g, g2, lg = _gn_triple(n, params, contract, x, v0)
+    for n, (p_n, scale, vol, rate) in enumerate(mt.terms):
+        if isinstance(params.jumps.variant, LogNormal):
+            g = scale * bs_kernel.bs_price(x, vol, strike, rate, big_t)
+            g2 = scale * bs_kernel.gamma2_bs(x, vol, strike, rate, big_t)
+            lg = scale * bs_kernel.lambda_gamma_bs(x, vol, strike, rate, big_t)
+        else:
+            g, g2, lg = (scale * jump_laws.gn_generic(
+                x, n, params.jumps, vol, rate, strike, big_t, kernel=kernel)
+                for kernel in ("price", "gamma2", "lambda_gamma"))
         g_parts.append(p_n * g)
         g2_parts.append(p_n * g2)
         lg_parts.append(p_n * lg)
 
     base = math.fsum(g_parts)
-    r0_term = r0v * math.fsum(g2_parts)
-    u0_term = u0v * math.fsum(lg_parts)
+    r0_term = mt.r0 * math.fsum(g2_parts)
+    u0_term = mt.u0 * math.fsum(lg_parts)
     return PriceResult(price=base + r0_term + u0_term, base_term=base,
-                       r0_term=r0_term, u0_term=u0_term, truncation=trunc)
+                       r0_term=r0_term, u0_term=u0_term,
+                       truncation=mt.truncation)
 
 
-def price_smile(params: ModelParams, s0: float, strikes, big_t: float,
-                tol: float = jump_laws.DEFAULT_SERIES_TOL) -> list:
-    """price_approx across strikes; per-strike failures are collected.
+def price_smile(params: ModelParams, s0: float, strikes, big_t: float) -> list:
+    """price_approx across strikes, sharing one maturity_terms.
 
-    Returns a list of (strike, PriceResult | Exception), ascending strike.
+    Returns a list of (strike, PriceResult | Exception), ascending strike;
+    a failure to build the shared terms is paired with every strike.
     """
     if not strikes:
         raise ParamError("strikes must be nonempty")
+    strikes = sorted(strikes)
+    try:
+        mt = maturity_terms(params, big_t)
+    except PRICING_ERRORS as exc:
+        return [(strike, exc) for strike in strikes]
     out = []
-    for strike in sorted(strikes):
+    for strike in strikes:
         try:
             out.append((strike, price_approx(
-                params, Contract(s0=s0, strike=strike, maturity=big_t), tol)))
+                params, Contract(s0=s0, strike=strike, maturity=big_t), mt)))
         except PRICING_ERRORS as exc:
             out.append((strike, exc))
     return out

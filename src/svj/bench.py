@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx_pricer import Contract, ModelParams, price_approx
+from .approx_pricer import Contract, ModelParams, price_approx, price_smile
 from .errors import PRICING_ERRORS, ParamError
 from .heston_moments import HestonParams
 from .jump_laws import JumpLaw, Kou, LogNormal, LogUniform
@@ -116,7 +116,16 @@ class SmileRow:
         try:
             setattr(self, column, compute())
         except PRICING_ERRORS as exc:
-            self.failures[column] = f"{type(exc).__name__}: {exc}"
+            self.fail(column, exc)
+
+    def fail(self, column: str, exc: Exception) -> None:
+        self.failures[column] = f"{type(exc).__name__}: {exc}"
+
+    def fill_iv(self, column: str, price: float, contract: Contract,
+                r: float) -> None:
+        """Invert price into an IV cell; a NaN (failed) price is skipped."""
+        if not math.isnan(price):
+            self.fill(column, lambda: implied_vol_invert(price, contract, r))
 
     @property
     def abs_error(self) -> float:
@@ -160,26 +169,24 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _smile_row(params: ModelParams, contract: Contract, with_iv: bool) -> SmileRow:
-    row = SmileRow(strike=contract.strike, maturity=contract.maturity)
-    row.fill("approx_price", lambda: price_approx(params, contract).price)
-    row.fill("ref_price", lambda: price_reference(params, contract))
-    if with_iv:
-        for column, price in (("approx_iv", row.approx_price),
-                              ("ref_iv", row.ref_price)):
-            if not math.isnan(price):
-                row.fill(column, lambda: implied_vol_invert(price, contract,
-                                                            params.r))
-    return row
-
-
 def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
               with_iv: bool = False) -> SmileReport:
     """Price/IV rows for ascending strikes; failures keep their row."""
-    contracts = [Contract(s0=s0, strike=float(k), maturity=maturity)
-                 for k in sorted(strikes)]
     t0 = time.perf_counter()
-    rows = [_smile_row(params, c, with_iv) for c in contracts]
+    rows = []
+    for strike, approx in price_smile(params, s0, [float(k) for k in strikes],
+                                      maturity):
+        contract = Contract(s0=s0, strike=strike, maturity=maturity)
+        row = SmileRow(strike=strike, maturity=maturity)
+        if isinstance(approx, Exception):
+            row.fail("approx_price", approx)
+        else:
+            row.approx_price = approx.price
+        row.fill("ref_price", lambda: price_reference(params, contract))
+        if with_iv:
+            row.fill_iv("approx_iv", row.approx_price, contract, params.r)
+            row.fill_iv("ref_iv", row.ref_price, contract, params.r)
+        rows.append(row)
     wall = time.perf_counter() - t0
     return SmileReport(rows=rows, params_echo=params_to_dict(params, s0),
                        timings={"wall_s": wall}, with_iv=with_iv)

@@ -7,16 +7,19 @@ failure (ArithmeticError), 4 failed Monte Carlo agreement check.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import bench
-from .approx_pricer import Contract, price_approx
+from .approx_pricer import Contract, maturity_terms, price_approx
 from .errors import ParamError
 from .implied_vol import iv_surface_approx
 from .mc_oracle import McConfig
+
+MAX_STRIKES = 10_000  # longest start:stop:step range; at most one more is built
 
 
 def load_params(path: str, nu: float = None, rho: float = None):
@@ -48,14 +51,12 @@ def parse_strikes(spec: str) -> list:
             raise ParamError(f"strike range must be finite, got {spec!r}")
         if step <= 0 or stop < start:
             raise ParamError("strike range needs step > 0 and stop >= start")
-        out = []
-        k = 0
-        while True:
-            val = start + k * step
-            if val > stop + 1e-9 * max(1.0, abs(stop)):
-                break
-            out.append(val)
-            k += 1
+        last = stop + 1e-9 * max(1.0, abs(stop))
+        out = list(itertools.takewhile(lambda v: v <= last, (
+            start + k * step for k in range(MAX_STRIKES + 1))))
+        if len(out) > MAX_STRIKES:
+            raise ParamError(f"strike range {spec!r} makes more than "
+                             f"{MAX_STRIKES} strikes")
         return out
     try:
         out = [float(p) for p in spec.split(",") if p.strip()]
@@ -82,7 +83,8 @@ def _emit_rows(report, csv: str) -> int:
 def cmd_price(args) -> int:
     params, s0 = load_params(args.params, args.nu, args.rho)
     contract = Contract(s0=s0, strike=args.strike, maturity=args.maturity)
-    res = price_approx(params, contract, tol=args.tol)
+    res = price_approx(params, contract,
+                       maturity_terms(params, args.maturity, args.tol))
     _emit_json({
         "price": res.price,
         "base_term": res.base_term,
@@ -107,11 +109,11 @@ def cmd_smile(args) -> int:
 def cmd_iv(args) -> int:
     params, s0 = load_params(args.params, args.nu, args.rho)
     report = bench.run_smile(params, s0, parse_strikes(args.strikes),
-                             args.maturity, with_iv=True)
+                             args.maturity, with_iv=not args.analytic)
     if args.analytic:
         for row in report.rows:
-            row.approx_iv = math.nan
-            row.failures.pop("approx_iv", None)
+            row.fill_iv("ref_iv", row.ref_price, Contract(
+                s0=s0, strike=row.strike, maturity=args.maturity), params.r)
             if "approx_price" not in row.failures:
                 row.fill("approx_iv", lambda: iv_surface_approx(
                     params, row.strike, args.maturity, s0).iv_approx)

@@ -1,6 +1,7 @@
 """Shared fixtures plus the acceptance-criteria summary block."""
 import pytest
 
+from svj import heston_moments, jump_laws
 from svj.approx_pricer import ModelParams
 from svj.heston_moments import HestonParams
 from svj.jump_laws import JumpLaw, LogNormal
@@ -31,6 +32,27 @@ def make_params(nu, rho, lam=0.05, mu_j=-0.05, sigma_j=0.5, r=0.001,
         jumps=JumpLaw(intensity=lam, variant=LogNormal(mu_j=mu_j,
                                                        sigma_j=sigma_j)),
         r=r)
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    """Counts of the strike-free calls the pricer makes: truncate_series,
+    poisson_pmf, and the v0, u0, r0 moments."""
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapped(*a, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*a, **kw)
+        monkeypatch.setattr(module, name, wrapped)
+
+    for name in ("truncate_series", "poisson_pmf"):
+        count(jump_laws, name)
+    for name in ("avg_expected_variance_v0", "u0", "r0"):
+        count(heston_moments, name)
+    return calls
 
 
 # the three canonical regimes: benign, skewed, adverse

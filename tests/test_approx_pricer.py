@@ -4,10 +4,12 @@ import math
 import pytest
 
 import _frozen as fz
+from _terms import gn_term
 from conftest import make_params
 from svj import bs_kernel, heston_moments, jump_laws
-from svj.approx_pricer import Contract, ModelParams, price_approx, price_smile
-from svj.errors import ParamError
+from svj.approx_pricer import (Contract, ModelParams, maturity_terms,
+                               price_approx, price_smile)
+from svj.errors import ParamError, SeriesTruncationError
 from svj.heston_moments import HestonParams
 from svj.jump_laws import JumpLaw, Kou, LogNormal, LogUniform
 from svj.reference_pricer import price_reference
@@ -28,33 +30,50 @@ def test_footnote_atm_regression():
     assert res.price == pytest.approx(10.871517802292965, abs=1e-12)
 
 
-def test_series_is_walked_once(monkeypatch):
+def test_series_is_walked_once(series_calls):
     """One truncation, whose pmf values are the weights; one v0, u0, r0."""
-    calls = {}
-
-    def count(module, name):
-        original = getattr(module, name)
-
-        def wrapped(*a, **kw):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*a, **kw)
-        monkeypatch.setattr(module, name, wrapped)
-
-    for name in ("truncate_series", "poisson_pmf"):
-        count(jump_laws, name)
-    for name in ("avg_expected_variance_v0", "u0", "r0"):
-        count(heston_moments, name)
     params = make_params(nu=0.3, rho=-0.5, lam=0.5)
     res = price_approx(params, Contract(s0=100.0, strike=90.0, maturity=2.0))
     assert res.truncation.n_max > 5
-    assert calls == {"truncate_series": 1,
-                     "poisson_pmf": res.truncation.n_max + 1,
-                     "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
+    assert series_calls == {"truncate_series": 1,
+                            "poisson_pmf": res.truncation.n_max + 1,
+                            "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
+
+
+def test_smile_builds_maturity_terms_once(series_calls):
+    """Ten strikes of one maturity share one truncation and one v0, u0, r0."""
+    params = make_params(nu=0.3, rho=-0.5, lam=0.5)
+    out = price_smile(params, 100.0, [float(k) for k in range(80, 130, 5)],
+                      2.0)
+    n_max = out[0][1].truncation.n_max
+    assert len(out) == 10 and n_max > 5
+    assert series_calls == {"truncate_series": 1, "poisson_pmf": n_max + 1,
+                            "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
+
+
+def test_mismatched_maturity_terms_are_refused():
+    params = make_params(nu=0.05, rho=-0.2)
+    mt = maturity_terms(params, 0.3)
+    assert price_approx(params, ATM, mt) == price_approx(params, ATM)
+    with pytest.raises(ParamError):
+        price_approx(params, Contract(s0=100.0, strike=100.0, maturity=0.5),
+                     mt)
+    with pytest.raises(ParamError):
+        price_approx(make_params(nu=0.05, rho=-0.8), ATM, mt)
+
+
+@pytest.mark.parametrize("lam, big_t, error", [
+    (100.0, 5.0, SeriesTruncationError),  # lambda T = 500: over the series cap
+    (0.05, 0.0, ParamError)])
+def test_smile_pairs_every_strike_with_a_terms_failure(lam, big_t, error):
+    params = make_params(nu=0.05, rho=-0.2, lam=lam)
+    out = price_smile(params, 100.0, [110.0, 90.0, 100.0], big_t)
+    assert [k for k, _ in out] == [90.0, 100.0, 110.0]
+    assert all(isinstance(exc, error) for _, exc in out)
 
 
 def test_base_term_uses_frozen_gn_values():
     """n=1 and n=2 mixture terms agree with the 50-digit oracle."""
-    from svj.approx_pricer import gn_term
     params = make_params(nu=0.05, rho=-0.2)
     g1, _, _ = gn_term(1, params, ATM)
     g2, _, _ = gn_term(2, params, ATM)
@@ -92,7 +111,6 @@ def test_lognormal_closed_route_matches_generic_quadrature():
     v0 = heston_moments.avg_expected_variance_v0(params.heston, 0.3)
     k = jump_laws.compensator_k(params.jumps)
     r_hat = params.r - params.jumps.intensity * k
-    from svj.approx_pricer import gn_term
     for n in (0, 1, 2, 5):
         g, _, _ = gn_term(n, params, ATM)
         want = math.exp(-params.jumps.intensity * k * 0.3) * jump_laws.gn_generic(

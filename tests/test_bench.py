@@ -6,7 +6,7 @@ import pytest
 
 import svj.bench as bench
 from conftest import make_params
-from svj.approx_pricer import Contract
+from svj.approx_pricer import Contract, maturity_terms
 from svj.errors import ParamError, QuadratureError
 from svj.mc_oracle import McConfig
 
@@ -74,6 +74,18 @@ def test_smile_iv_columns():
     header = rep.to_csv().split("\n")[0]
     assert header == ("strike,maturity,approx_price,ref_price,abs_error,"
                       "approx_iv,ref_iv,iv_abs_error")
+
+
+def test_smile_builds_maturity_terms_once(series_calls):
+    """run_smile's approximation leg shares one set of strike-free terms."""
+    params = make_params(nu=0.3, rho=-0.5, lam=0.5)
+    rep = bench.run_smile(params, 100.0, range(80, 130, 5), 2.0)
+    counts = dict(series_calls)
+    assert len(rep.rows) == 10 and rep.n_failed == 0
+    n_max = maturity_terms(params, 2.0).truncation.n_max
+    assert n_max > 5
+    assert counts == {"truncate_series": 1, "poisson_pmf": n_max + 1,
+                      "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
 
 
 def test_abs_error_recomputed_not_stored():

@@ -30,6 +30,17 @@ def test_smile_golden_bytes(capsys):
     assert out == (GOLDEN / "smile_fig1.csv").read_text()
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("iv_analytic_fig1.csv", ["iv", "--strikes", "90,100,110", "--analytic"]),
+    ("price_tol1e-6_fig1.json", ["price", "--strike", "100", "--tol", "1e-6"])])
+def test_footnote_golden_bytes(capsys, golden, argv):
+    code, out, _ = run_cli(capsys, [
+        *argv, "--params", str(FOOTNOTE), "--nu", "0.05", "--rho", "-0.2",
+        "--maturity", "0.3"])
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_sample_params_golden_bytes(capsys):
     code, out, _ = run_cli(capsys, ["sample-params", "--n", "2",
                                     "--seed", "42"])
@@ -107,6 +118,22 @@ def test_iv_header(capsys):
         "--strikes", "100", "--maturity", "0.3"])
     assert code == 0
     assert out.split("\n")[0] == "strike,maturity,approx_iv,ref_iv,iv_abs_error"
+
+
+def test_iv_analytic_inverts_only_the_reference(capsys, monkeypatch):
+    inverted = []
+
+    def counted(price, contract, r):
+        inverted.append(contract.strike)
+        return invert(price, contract, r)
+
+    invert = bench.implied_vol_invert
+    monkeypatch.setattr(bench, "implied_vol_invert", counted)
+    code, _, _ = run_cli(capsys, [
+        "iv", "--params", str(FOOTNOTE), "--nu", "0.05", "--rho", "-0.2",
+        "--strikes", "90,100,110", "--maturity", "0.3", "--analytic"])
+    assert code == 0
+    assert inverted == [90.0, 100.0, 110.0]
 
 
 def test_smile_failed_rows_exit_3(capsys, monkeypatch):
@@ -200,6 +227,10 @@ def test_parse_strikes_forms():
     for spec in ("nan:100:10", "80:inf:10", "80:120:nan"):
         with pytest.raises(ParamError):
             cli.parse_strikes(spec)
+    # a range may make at most 10000 strikes
+    assert cli.parse_strikes("1:10000:1") == [float(k) for k in range(1, 10001)]
+    with pytest.raises(ParamError):
+        cli.parse_strikes("0:10000:1")
 
 
 def test_console_script_smoke():

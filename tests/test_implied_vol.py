@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from _terms import bates_gamma_n, d_b1, d_b2, gamma_n
 from conftest import make_params
 from svj import bs_kernel, heston_moments, jump_laws
 from svj.approx_pricer import Contract, ModelParams, price_approx
 from svj.errors import ParamError
 from svj.heston_moments import HestonParams
-from svj.implied_vol import (bates_gamma_n, d_b1, d_b2, gamma_n,
-                             iv_atm_approx, iv_atm_display, iv_surface_approx)
+from svj.implied_vol import iv_atm_approx, iv_atm_display, iv_surface_approx
 from svj.jump_laws import JumpLaw, Kou, LogNormal, compensator_k, gn_generic, lognormal_shift
 from svj.quadrature import QuadratureConfig
 

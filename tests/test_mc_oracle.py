@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_params
-from svj import bs_kernel, heston_moments
+from svj import bs_kernel, heston_moments, mc_oracle
 from svj.approx_pricer import Contract, ModelParams, price_approx
 from svj.errors import ParamError
 from svj.heston_moments import HestonParams
@@ -29,6 +29,20 @@ def test_chunk_boundary_paths_are_stable():
     small = simulate_terminal(params, 0.3, McConfig(n_paths=CHUNK, seed=9))
     big = simulate_terminal(params, 0.3, McConfig(n_paths=CHUNK + 500, seed=9))
     np.testing.assert_array_equal(small, big[:CHUNK])
+
+
+def test_thread_count_does_not_change_results(monkeypatch):
+    """Chunks are combined in chunk order however many threads run them."""
+    params = make_params(nu=0.3, rho=-0.6, lam=0.2)
+    cfg = McConfig(n_paths=3 * CHUNK + 500, seed=4, n_steps=20,
+                   antithetic=True)
+    runs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(mc_oracle, "WORKERS", workers)
+        runs.append((simulate_terminal(params, 0.3, cfg),
+                     mc_price(params, ATM, cfg)))
+    np.testing.assert_array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
 
 
 def test_antithetic_reduces_error():
