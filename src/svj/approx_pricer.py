@@ -21,12 +21,19 @@ Kou and LogUniform amplitudes go through adaptive quadrature against
 the n-fold convolution density.
 
 All but the kernel evaluations depend on (params, T) alone, not on the
-strike: maturity_terms computes them once per maturity.
+strike: maturity_terms computes them once per maturity. The strike axis
+is one pass too: for LogNormal amplitudes, price_smile evaluates the
+three kernels of every (term, strike) pair as numpy arrays
+(bs_kernel.pricer_kernels_arr) and sums each strike's terms with
+math.fsum. price_approx is the one-strike case of the same pass. Kou and
+LogUniform strikes are priced one at a time by gn_generic.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import bs_kernel, heston_moments, jump_laws
 from .errors import PRICING_ERRORS, ParamError, check_finite
@@ -116,36 +123,43 @@ def maturity_terms(params: ModelParams, big_t: float,
                          truncation=trunc, terms=terms)
 
 
-def price_approx(params: ModelParams, contract: Contract,
-                 mt: MaturityTerms = None) -> PriceResult:
-    """Three-term decomposition price; terms reported separately.
-
-    mt defaults to maturity_terms(params, contract.maturity). price =
-    base_term + r0_term + u0_term holds bit-exactly (each term is its own
-    compensated sum; the final add is the only combination).
-    """
-    big_t = contract.maturity
-    if mt is None:
-        mt = maturity_terms(params, big_t)
-    elif mt.maturity != big_t or mt.params != params:
+def _check_terms(mt: MaturityTerms, params: ModelParams, big_t: float) -> None:
+    if mt.maturity != big_t or mt.params != params:
         raise ParamError("maturity terms of other params or another maturity")
-    x = math.log(contract.s0)
-    strike = contract.strike
 
-    g_parts, g2_parts, lg_parts = [], [], []
-    for n, (p_n, scale, vol, rate) in enumerate(mt.terms):
-        if isinstance(params.jumps.variant, LogNormal):
-            g = scale * bs_kernel.bs_price(x, vol, strike, rate, big_t)
-            g2 = scale * bs_kernel.gamma2_bs(x, vol, strike, rate, big_t)
-            lg = scale * bs_kernel.lambda_gamma_bs(x, vol, strike, rate, big_t)
-        else:
-            g, g2, lg = (scale * jump_laws.gn_generic(
-                x, n, params.jumps, vol, rate, strike, big_t, kernel=kernel)
-                for kernel in ("price", "gamma2", "lambda_gamma"))
-        g_parts.append(p_n * g)
-        g2_parts.append(p_n * g2)
-        lg_parts.append(p_n * lg)
 
+def _price_strikes(mt: MaturityTerms, s0: float, strikes) -> list:
+    """PriceResult per strike, all from the one maturity's terms.
+
+    LogNormal amplitudes: one numpy pass over (strikes x terms) arrays of
+    the three kernels. Other laws: gn_generic quadratures per strike and
+    term. Each strike's parts are then summed on their own (_compose).
+    """
+    big_t = mt.maturity
+    x = math.log(s0)
+    jumps = mt.params.jumps
+    if isinstance(jumps.variant, LogNormal):
+        # rows: strikes; columns: terms
+        p_n, scale, vol, rate = np.array(mt.terms).T
+        # the scalar kernels' degenerate check, once for all terms
+        bs_kernel.check_nondegenerate(float(vol.min()), big_t)
+        kernels = bs_kernel.pricer_kernels_arr(
+            x, vol, np.array(strikes, dtype=float)[:, None], rate, big_t)
+        g, g2, lg = ((p_n * (scale * k)).tolist() for k in kernels)
+        return [_compose(mt, *parts) for parts in zip(g, g2, lg)]
+    out = []
+    for strike in strikes:
+        terms = [[p_n * (scale * jump_laws.gn_generic(
+                     x, n, jumps, vol, rate, strike, big_t, kernel=kernel))
+                  for kernel in ("price", "gamma2", "lambda_gamma")]
+                 for n, (p_n, scale, vol, rate) in enumerate(mt.terms)]
+        out.append(_compose(mt, *zip(*terms)))
+    return out
+
+
+def _compose(mt: MaturityTerms, g_parts, g2_parts, lg_parts) -> PriceResult:
+    """Each term is its own compensated sum; the final add is the only
+    combination, so price = base_term + r0_term + u0_term bit-exactly."""
     base = math.fsum(g_parts)
     r0_term = mt.r0 * math.fsum(g2_parts)
     u0_term = mt.u0 * math.fsum(lg_parts)
@@ -154,24 +168,57 @@ def price_approx(params: ModelParams, contract: Contract,
                        truncation=mt.truncation)
 
 
-def price_smile(params: ModelParams, s0: float, strikes, big_t: float) -> list:
-    """price_approx across strikes, sharing one maturity_terms.
+def price_approx(params: ModelParams, contract: Contract,
+                 mt: MaturityTerms = None) -> PriceResult:
+    """Three-term decomposition price; terms reported separately.
 
-    Returns a list of (strike, PriceResult | Exception), ascending strike;
-    a failure to build the shared terms is paired with every strike.
+    The one-strike case of price_smile's pass. mt defaults to
+    maturity_terms(params, contract.maturity).
+    """
+    if mt is None:
+        mt = maturity_terms(params, contract.maturity)
+    else:
+        _check_terms(mt, params, contract.maturity)
+    return _price_strikes(mt, contract.s0, [contract.strike])[0]
+
+
+def price_smile(params: ModelParams, s0: float, strikes, big_t: float,
+                mt: MaturityTerms = None) -> list:
+    """price_approx across strikes of one maturity, in one pass.
+
+    Returns a list of (strike, PriceResult | Exception), ascending
+    strike. A strike that is no valid Contract gets its own ParamError;
+    a failure to build the terms (mt defaults to maturity_terms(params,
+    big_t)) is paired with every strike, and so is a failure of the
+    LogNormal pass. Other laws are priced and fail strike by strike.
     """
     if not strikes:
         raise ParamError("strikes must be nonempty")
     strikes = sorted(strikes)
-    try:
-        mt = maturity_terms(params, big_t)
-    except PRICING_ERRORS as exc:
-        return [(strike, exc) for strike in strikes]
-    out = []
+    if mt is None:
+        try:
+            mt = maturity_terms(params, big_t)
+        except PRICING_ERRORS as exc:
+            return [(strike, exc) for strike in strikes]
+    else:
+        _check_terms(mt, params, big_t)
+    results = []
     for strike in strikes:
         try:
-            out.append((strike, price_approx(
-                params, Contract(s0=s0, strike=strike, maturity=big_t), mt)))
+            Contract(s0=s0, strike=strike, maturity=big_t)
+        except ParamError as exc:
+            results.append(exc)
+        else:
+            results.append(None)
+    valid = [i for i, res in enumerate(results) if res is None]
+    # one pass over every valid strike; strike by strike for other laws
+    passes = ([valid] if valid and isinstance(params.jumps.variant, LogNormal)
+              else [[i] for i in valid])
+    for batch in passes:
+        try:
+            priced = _price_strikes(mt, s0, [strikes[i] for i in batch])
         except PRICING_ERRORS as exc:
-            out.append((strike, exc))
-    return out
+            priced = [exc] * len(batch)
+        for i, res in zip(batch, priced):
+            results[i] = res
+    return list(zip(strikes, results))

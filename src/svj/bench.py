@@ -9,6 +9,7 @@ parameter sets and scaled up; such entries carry extrapolated=True.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import statistics
 import time
@@ -16,7 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx_pricer import Contract, ModelParams, price_approx, price_smile
+# price_approx is not called here; it stays bound because
+# perfbench/layertrace.py wraps bench.price_approx by name
+from .approx_pricer import (Contract, MaturityTerms, ModelParams,
+                            price_approx, price_smile)  # noqa: F401
 from .errors import PRICING_ERRORS, ParamError
 from .heston_moments import HestonParams
 from .jump_laws import JumpLaw, Kou, LogNormal, LogUniform
@@ -170,12 +174,16 @@ def _fmt(v: float) -> str:
 
 
 def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
-              with_iv: bool = False) -> SmileReport:
-    """Price/IV rows for ascending strikes; failures keep their row."""
+              with_iv: bool = False,
+              mt: MaturityTerms = None) -> SmileReport:
+    """Price/IV rows for ascending strikes; failures keep their row.
+
+    mt: the maturity terms to price from, as in price_smile.
+    """
     t0 = time.perf_counter()
     rows = []
     for strike, approx in price_smile(params, s0, [float(k) for k in strikes],
-                                      maturity):
+                                      maturity, mt):
         contract = Contract(s0=s0, strike=strike, maturity=maturity)
         row = SmileRow(strike=strike, maturity=maturity)
         if isinstance(approx, Exception):
@@ -192,13 +200,41 @@ def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
                        timings={"wall_s": wall}, with_iv=with_iv)
 
 
+def _approx_prices(params: ModelParams, batch) -> list:
+    """Price or exception per contract of batch, one price_smile per
+    (s0, maturity) run of contracts."""
+    out = []
+    for (s0, big_t), row in itertools.groupby(
+            batch, key=lambda c: (c.s0, c.maturity)):
+        out += (res if isinstance(res, Exception) else res.price
+                for _, res in price_smile(params, s0,
+                                          [c.strike for c in row], big_t))
+    return out
+
+
+def _per_contract(price):
+    """price(params, contract) lifted to a batch, failures kept in place."""
+    def prices(params: ModelParams, batch) -> list:
+        out = []
+        for contract in batch:
+            try:
+                out.append(price(params, contract))
+            except PRICING_ERRORS as exc:
+                out.append(exc)
+        return out
+    return prices
+
+
 def _method_fn(name: str):
+    """(params, batch) -> one price or exception per contract."""
     if name == "approximation":
-        return lambda p, c: price_approx(p, c).price
+        return _approx_prices
     if name == "one_integral":
-        return lambda p, c: price_reference(p, c, method="one-integral")
+        return _per_contract(
+            lambda p, c: price_reference(p, c, method="one-integral"))
     if name == "two_integral":
-        return lambda p, c: price_reference(p, c, method="two-integral")
+        return _per_contract(
+            lambda p, c: price_reference(p, c, method="two-integral"))
     raise ParamError(f"unknown method {name!r}")
 
 
@@ -208,11 +244,11 @@ def _price_pass(fn, param_sets, batch):
     failures = 0
     t0 = time.perf_counter()
     for mp in param_sets:
-        for contract in batch:
-            try:
-                acc.append(fn(mp, contract))
-            except PRICING_ERRORS:
+        for out in fn(mp, batch):
+            if isinstance(out, Exception):
                 failures += 1
+            else:
+                acc.append(out)
     wall = time.perf_counter() - t0
     return wall, math.fsum(acc), failures
 

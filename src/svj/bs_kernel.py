@@ -45,12 +45,18 @@ def _check(y: float, strike: float, tau: float) -> None:
         raise DomainError(f"volatility must be >= 0, got {y}")
 
 
-def d_plus_minus(x: float, y: float, strike: float, r: float, tau: float):
-    """Return (d+, d-). Requires a non-degenerate y*sqrt(tau)."""
-    _check(y, strike, tau)
+def check_nondegenerate(y: float, tau: float) -> float:
+    """y*sqrt(tau), or DomainError where the lognormal is a point mass."""
     ysq = y * math.sqrt(tau)
     if ysq < DEGENERATE_EPS:
         raise DomainError(f"y*sqrt(tau) = {ysq:.3e} is degenerate")
+    return ysq
+
+
+def d_plus_minus(x: float, y: float, strike: float, r: float, tau: float):
+    """Return (d+, d-). Requires a non-degenerate y*sqrt(tau)."""
+    _check(y, strike, tau)
+    ysq = check_nondegenerate(y, tau)
     m = x - math.log(strike) + r * tau
     return m / ysq + 0.5 * ysq, m / ysq - 0.5 * ysq
 
@@ -91,34 +97,65 @@ def bs_vega(x: float, y: float, strike: float, r: float, tau: float) -> float:
     return math.exp(x) * norm_pdf(dp) * math.sqrt(tau)
 
 
-# array variants over the log-price axis, used by the jump-mixture
-# quadratures; same formulas, numpy semantics, no degenerate branch
-# (the scalar guards run once in the caller).
+# Array kernels: the same formulas with numpy semantics, broadcasting over
+# every argument -- the log-price nodes of the jump-mixture quadratures,
+# or a maturity's series terms (y, r) against its strikes in the
+# lognormal strike pass. They have no degenerate branch and no input
+# checks: the strike pass runs check_nondegenerate once per maturity. The
+# scalar kernels above stay for callers with one float (the brentq IV
+# inversion), where a numpy call costs several times a math call.
 
-def _dp_arr(x, y, strike, r, tau):
-    ysq = y * math.sqrt(tau)
-    return (x - math.log(strike) + r * tau) / ysq + 0.5 * ysq
-
-
-def bs_price_arr(x, y: float, strike: float, r: float, tau: float):
-    ysq = y * math.sqrt(tau)
-    dp = _dp_arr(x, y, strike, r, tau)
-    return np.exp(x) * ndtr(dp) - strike * math.exp(-r * tau) * ndtr(dp - ysq)
-
-
-def gamma_bs_arr(x, y: float, strike: float, r: float, tau: float):
-    dp = _dp_arr(x, y, strike, r, tau)
-    return np.exp(x - 0.5 * dp * dp) / (y * math.sqrt(2.0 * math.pi * tau))
+def _d_arr(x, y, strike, r, tau) -> tuple:
+    """(d+, d-, y sqrt(tau)), rounded as d_plus_minus rounds them."""
+    ysq = y * np.sqrt(tau)
+    half = 0.5 * ysq
+    m = (x - np.log(strike) + r * tau) / ysq
+    return m + half, m - half, ysq
 
 
-def lambda_gamma_bs_arr(x, y: float, strike: float, r: float, tau: float):
-    dp = _dp_arr(x, y, strike, r, tau)
-    g = np.exp(x - 0.5 * dp * dp) / (y * math.sqrt(2.0 * math.pi * tau))
-    return g * (1.0 - dp / (y * math.sqrt(tau)))
+def _price_arr(x, strike, r, tau, dp, dm):
+    return np.exp(x) * ndtr(dp) - strike * np.exp(-r * tau) * ndtr(dm)
 
 
-def gamma2_bs_arr(x, y: float, strike: float, r: float, tau: float):
-    dp = _dp_arr(x, y, strike, r, tau)
-    g = np.exp(x - 0.5 * dp * dp) / (y * math.sqrt(2.0 * math.pi * tau))
-    ysq = y * math.sqrt(tau)
-    return g * (dp * dp - ysq * dp - 1.0) / (ysq * ysq)
+def _gamma_arr(x, y, tau, dp2):
+    """G BS from d+^2; 0.5 * dp2 rounds as 0.5 * dp * dp does."""
+    return np.exp(x - 0.5 * dp2) / (y * np.sqrt(2.0 * math.pi * tau))
+
+
+def _gamma2_arr(g, dp, dp2, ysq):
+    return g * (dp2 - ysq * dp - 1.0) / (ysq * ysq)
+
+
+def _lambda_gamma_arr(g, dp, ysq):
+    return g * (1.0 - dp / ysq)
+
+
+def bs_price_arr(x, y, strike, r, tau):
+    dp, dm, _ = _d_arr(x, y, strike, r, tau)
+    return _price_arr(x, strike, r, tau, dp, dm)
+
+
+def gamma_bs_arr(x, y, strike, r, tau):
+    dp, _, _ = _d_arr(x, y, strike, r, tau)
+    return _gamma_arr(x, y, tau, dp * dp)
+
+
+def lambda_gamma_bs_arr(x, y, strike, r, tau):
+    dp, _, ysq = _d_arr(x, y, strike, r, tau)
+    return _lambda_gamma_arr(_gamma_arr(x, y, tau, dp * dp), dp, ysq)
+
+
+def gamma2_bs_arr(x, y, strike, r, tau):
+    dp, _, ysq = _d_arr(x, y, strike, r, tau)
+    dp2 = dp * dp
+    return _gamma2_arr(_gamma_arr(x, y, tau, dp2), dp, dp2, ysq)
+
+
+def pricer_kernels_arr(x, y, strike, r, tau) -> tuple:
+    """(BS, G^2 BS, L G BS), the three kernels of the decomposition,
+    sharing d+- and the Gaussian factor G BS."""
+    dp, dm, ysq = _d_arr(x, y, strike, r, tau)
+    dp2 = dp * dp
+    g = _gamma_arr(x, y, tau, dp2)
+    return (_price_arr(x, strike, r, tau, dp, dm),
+            _gamma2_arr(g, dp, dp2, ysq), _lambda_gamma_arr(g, dp, ysq))

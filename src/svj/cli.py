@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import bench
 from .approx_pricer import Contract, maturity_terms, price_approx
-from .errors import ParamError
+from .errors import PRICING_ERRORS, ParamError
 from .implied_vol import iv_surface_approx
 from .mc_oracle import McConfig
 
@@ -108,15 +108,23 @@ def cmd_smile(args) -> int:
 
 def cmd_iv(args) -> int:
     params, s0 = load_params(args.params, args.nu, args.rho)
+    mt = None
+    if args.analytic:
+        # one set of maturity terms for the smile and every analytic IV;
+        # if it cannot be built, run_smile pairs the failure with each row
+        try:
+            mt = maturity_terms(params, args.maturity)
+        except PRICING_ERRORS:
+            pass
     report = bench.run_smile(params, s0, parse_strikes(args.strikes),
-                             args.maturity, with_iv=not args.analytic)
+                             args.maturity, with_iv=not args.analytic, mt=mt)
     if args.analytic:
         for row in report.rows:
             row.fill_iv("ref_iv", row.ref_price, Contract(
                 s0=s0, strike=row.strike, maturity=args.maturity), params.r)
             if "approx_price" not in row.failures:
                 row.fill("approx_iv", lambda: iv_surface_approx(
-                    params, row.strike, args.maturity, s0).iv_approx)
+                    params, row.strike, args.maturity, s0, mt).iv_approx)
     return _emit_rows(report, bench.rows_to_csv(
         report.rows, ["strike", "maturity", "approx_iv", "ref_iv",
                       "iv_abs_error"]))

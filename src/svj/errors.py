@@ -5,6 +5,7 @@ The CLI maps these onto exit codes: ParamError -> 2, ArithmeticError
 -> 3. Library code raises, it never calls sys.exit.
 """
 import dataclasses
+import functools
 import math
 
 
@@ -41,10 +42,15 @@ class BracketError(NumericalError):
 PRICING_ERRORS = (ParamError, ArithmeticError)
 
 
+@functools.cache
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def check_finite(obj) -> None:
     """Raise ParamError naming the first float field of a dataclass that
     is NaN or infinite."""
-    for f in dataclasses.fields(obj):
-        val = getattr(obj, f.name)
+    for name in _field_names(type(obj)):
+        val = getattr(obj, name)
         if isinstance(val, float) and not math.isfinite(val):
-            raise ParamError(f"{f.name} must be finite, got {val}")
+            raise ParamError(f"{name} must be finite, got {val}")

@@ -39,7 +39,8 @@ import math
 from dataclasses import dataclass
 
 from . import bs_kernel
-from .approx_pricer import Contract, ModelParams, maturity_terms, price_approx
+from .approx_pricer import (Contract, MaturityTerms, ModelParams, maturity_terms,
+                           price_approx)
 from .errors import ParamError
 from .jump_laws import LogNormal
 
@@ -55,9 +56,13 @@ class IvPoint:
 
 
 def iv_surface_approx(params: ModelParams, strike: float, big_t: float,
-                      s0: float) -> IvPoint:
-    """v0 plus the vega-normalized correction terms of the pricer."""
-    mt = maturity_terms(params, big_t)
+                      s0: float, mt: MaturityTerms = None) -> IvPoint:
+    """v0 plus the vega-normalized correction terms of the pricer.
+
+    mt defaults to maturity_terms(params, big_t), as in price_approx.
+    """
+    if mt is None:
+        mt = maturity_terms(params, big_t)
     res = price_approx(params, Contract(s0=s0, strike=strike, maturity=big_t),
                        mt)
     r_hat = mt.terms[0][3]  # r - lambda k, the rate of the n=0 term

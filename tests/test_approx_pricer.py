@@ -6,10 +6,10 @@ import pytest
 import _frozen as fz
 from _terms import gn_term
 from conftest import make_params
-from svj import bs_kernel, heston_moments, jump_laws
+from svj import bench, bs_kernel, heston_moments, jump_laws
 from svj.approx_pricer import (Contract, ModelParams, maturity_terms,
                                price_approx, price_smile)
-from svj.errors import ParamError, SeriesTruncationError
+from svj.errors import DomainError, ParamError, SeriesTruncationError
 from svj.heston_moments import HestonParams
 from svj.jump_laws import JumpLaw, Kou, LogNormal, LogUniform
 from svj.reference_pricer import price_reference
@@ -70,6 +70,51 @@ def test_smile_pairs_every_strike_with_a_terms_failure(lam, big_t, error):
     out = price_smile(params, 100.0, [110.0, 90.0, 100.0], big_t)
     assert [k for k, _ in out] == [90.0, 100.0, 110.0]
     assert all(isinstance(exc, error) for _, exc in out)
+
+
+@pytest.mark.parametrize("big_t, error", [(0.3, None), (1e-26, DomainError)])
+def test_smile_pairs_invalid_strike_and_degenerate_maturity(big_t, error):
+    """K=-5 gets its own Contract ParamError; a degenerate vol*sqrt(T)
+    fails every other strike with DomainError, never with a NaN."""
+    params = make_params(nu=0.05, rho=-0.2)
+    out = price_smile(params, 100.0, [90.0, 100.0, -5.0], big_t)
+    assert [k for k, _ in out] == [-5.0, 90.0, 100.0]
+    invalid = out[0][1]
+    assert type(invalid) is ParamError and "strike" in str(invalid)
+    for _, res in out[1:]:
+        if error is None:
+            assert math.isfinite(res.price)
+        else:
+            assert type(res) is error
+
+
+def _smile_grid(params):
+    """price_smile over option_batch(), keyed by (maturity, strike)."""
+    by_t = {}
+    for c in bench.option_batch():
+        by_t.setdefault(c.maturity, []).append(c.strike)
+    return {(big_t, k): res for big_t, ks in by_t.items()
+            for k, res in price_smile(params, bench.BATCH_S0, ks, big_t)}
+
+
+@pytest.mark.parametrize("params", [
+    *bench.sample_param_sets(40, seed=20240),
+    make_params(nu=0.2, rho=-0.6, lam=0.0)])
+def test_smile_pass_matches_scalar_terms(params):
+    """The strike pass against the scalar closed form term by term, and
+    price_approx bit-equal to the matching price_smile entry."""
+    for (big_t, strike), res in _smile_grid(params).items():
+        c = Contract(s0=bench.BATCH_S0, strike=strike, maturity=big_t)
+        mt = maturity_terms(params, big_t)
+        terms = [(p_n, gn_term(n, params, c))
+                 for n, (p_n, *_) in enumerate(mt.terms)]
+        want = (math.fsum(p_n * g for p_n, (g, _, _) in terms),
+                mt.r0 * math.fsum(p_n * g2 for p_n, (_, g2, _) in terms),
+                mt.u0 * math.fsum(p_n * lg for p_n, (_, _, lg) in terms))
+        got = (res.base_term, res.r0_term, res.u0_term)
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+        assert res.price == pytest.approx(sum(want), rel=0, abs=1e-12)
+        assert price_approx(params, c) == res
 
 
 def test_base_term_uses_frozen_gn_values():

@@ -6,7 +6,7 @@ import pytest
 
 import svj.bench as bench
 from conftest import make_params
-from svj.approx_pricer import Contract, maturity_terms
+from svj.approx_pricer import Contract, maturity_terms, price_approx
 from svj.errors import ParamError, QuadratureError
 from svj.mc_oracle import McConfig
 
@@ -126,6 +126,32 @@ def test_run_bench_tiny(monkeypatch):
     # identical draws across methods: checksums must be close
     assert m["approximation"]["checksum"] == pytest.approx(
         m["two_integral"]["checksum"], rel=1e-3)
+
+
+def test_approximation_method_prices_each_row_in_one_call(monkeypatch):
+    """One price_smile per (set, maturity); prices bit-equal to
+    price_approx's and a failed option counted once."""
+    calls = []
+
+    def counted(params, s0, strikes, big_t, mt=None):
+        calls.append(len(strikes))
+        out = smile(params, s0, strikes, big_t, mt)
+        if big_t == 1.0:
+            out[2] = (out[2][0], QuadratureError("synthetic failure"))
+        return out
+
+    smile = bench.price_smile
+    monkeypatch.setattr(bench, "price_smile", counted)
+    sets = bench.sample_param_sets(2, seed=3)
+    batch = bench.option_batch()
+    _, checksum, failures = bench._price_pass(
+        bench._method_fn("approximation"), sets, batch)
+    assert calls == [len(bench.STRIKE_GRID)] * (2 * len(bench.MATURITY_GRID))
+    assert failures == 2
+    failed = (1.0, sorted(bench.STRIKE_GRID)[2])
+    assert checksum == math.fsum(
+        price_approx(mp, c).price for mp in sets for c in batch
+        if (c.maturity, c.strike) != failed)
 
 
 def test_run_bench_subsamples_reference(monkeypatch):

@@ -136,6 +136,15 @@ def test_iv_analytic_inverts_only_the_reference(capsys, monkeypatch):
     assert inverted == [90.0, 100.0, 110.0]
 
 
+def test_iv_analytic_builds_maturity_terms_once(capsys, series_calls):
+    """The smile and every analytic IV of it share one truncation."""
+    code, _, _ = run_cli(capsys, [
+        "iv", "--params", str(FOOTNOTE), "--nu", "0.05", "--rho", "-0.2",
+        "--strikes", "90,100,110", "--maturity", "0.3", "--analytic"])
+    assert code == 0
+    assert series_calls["truncate_series"] == 1
+
+
 def test_smile_failed_rows_exit_3(capsys, monkeypatch):
     def boom(*a, **kw):
         raise QuadratureError("synthetic")
