@@ -17,16 +17,23 @@ amplitudes the mixture has the closed form
 (the e^(c_n T) factor restores the discounting the shifted-rate
 evaluation removes; without it the n >= 1 terms are biased by a factor
 (1+k)^n e^(-lambda k T), which at typical jump sizes is ~1e-2 of price).
-Kou and LogUniform amplitudes go through adaptive quadrature against
-the n-fold convolution density.
+For Kou and LogUniform amplitudes the three sums are Fourier integrals
+instead: sum_n p_n G_n is the Lewis (2001) price of the nu = 0 model
+with variance v0^2 and the same jumps, and Gamma2, LambdaGamma act on
+its integrand as the multipliers (u^2 + 1/4)^2 and -(iu + 1/2)(u^2 +
+1/4). One characteristic-function evaluation per node then yields all
+three terms, and the Poisson series is never summed (_lewis_sums);
+maturity_terms still reports its truncation.
 
 All but the kernel evaluations depend on (params, T) alone, not on the
 strike: maturity_terms computes them once per maturity. The strike axis
-is one pass too: for LogNormal amplitudes, price_smile evaluates the
+is one pass too. For LogNormal amplitudes, price_smile evaluates the
 three kernels of every (term, strike) pair as numpy arrays
 (bs_kernel.pricer_kernels_arr) and sums each strike's terms with
-math.fsum. price_approx is the one-strike case of the same pass. Kou and
-LogUniform strikes are priced one at a time by gn_generic.
+math.fsum; price_approx is the one-strike case of the same pass, bit for
+bit. For other laws, every strike's three integrands share one adaptive
+GK15 node set (a stacked quadrature.gk15_adaptive), so price_approx
+agrees with the matching price_smile entry to quadrature tolerance.
 """
 from __future__ import annotations
 
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bs_kernel, heston_moments, jump_laws
+from . import bs_kernel, heston_moments, jump_laws, quadrature
 from .errors import PRICING_ERRORS, ParamError, check_finite
 from .heston_moments import HestonParams
 from .jump_laws import JumpLaw, LogNormal, SeriesTruncation
@@ -132,8 +139,9 @@ def _price_strikes(mt: MaturityTerms, s0: float, strikes) -> list:
     """PriceResult per strike, all from the one maturity's terms.
 
     LogNormal amplitudes: one numpy pass over (strikes x terms) arrays of
-    the three kernels. Other laws: gn_generic quadratures per strike and
-    term. Each strike's parts are then summed on their own (_compose).
+    the three kernels. Other laws: one Lewis integral per maturity
+    (_lewis_sums). Each strike's parts are then summed on their own
+    (_compose).
     """
     big_t = mt.maturity
     x = math.log(s0)
@@ -147,14 +155,83 @@ def _price_strikes(mt: MaturityTerms, s0: float, strikes) -> list:
             x, vol, np.array(strikes, dtype=float)[:, None], rate, big_t)
         g, g2, lg = ((p_n * (scale * k)).tolist() for k in kernels)
         return [_compose(mt, *parts) for parts in zip(g, g2, lg)]
-    out = []
-    for strike in strikes:
-        terms = [[p_n * (scale * jump_laws.gn_generic(
-                     x, n, jumps, vol, rate, strike, big_t, kernel=kernel))
-                  for kernel in ("price", "gamma2", "lambda_gamma")]
-                 for n, (p_n, scale, vol, rate) in enumerate(mt.terms)]
-        out.append(_compose(mt, *zip(*terms)))
-    return out
+    bs_kernel.check_nondegenerate(mt.v0, big_t)
+    return [_compose(mt, *parts) for parts in _lewis_sums(mt, s0, strikes)]
+
+
+# the tolerances of gn_generic's quadratures, jump_laws._GN_QUAD; the
+# budget is larger, since one integral carries every series term, kernel
+# and strike of the maturity. A wide law (Kou with eta1 near 1, lambda T
+# of order 1) puts the strikes ~10 log-units from the unjumped mass, and
+# its integrands oscillate across up to ~1500 subintervals
+_LEWIS_QUAD = quadrature.QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10,
+                                         max_subdivisions=4096)
+# bound on the integrals' tails beyond the cutoff, see _lewis_cutoff
+_LEWIS_TAIL = 1e-15
+
+
+def _lewis_sums(mt: MaturityTerms, s0: float, strikes) -> list:
+    """((sum p_n G_n,), (sum p_n Gamma2 G_n,), (sum p_n LambdaGamma G_n,))
+    per strike, from the nu = 0 model with variance v0^2 and the same
+    jumps, whose Lewis (2001) call price is sum p_n G_n:
+
+        base = S0 - c int_0^inf Re[e^(iu kbar) phihat(u - i/2)] / (u^2 + 1/4) du
+
+    with c = sqrt(S0 K) e^(-rT/2) / pi and kbar = ln(S0/K) + rT. The
+    integrand depends on x = ln S0 only through e^((iu + 1/2) x), so
+    D = d/dx acts as (iu + 1/2) and Gamma = D^2 - D as -(u^2 + 1/4):
+    Gamma2 takes the weight -(u^2 + 1/4) in place of 1/(u^2 + 1/4), and
+    LambdaGamma the weight (iu + 1/2). All strikes' three integrands
+    share one adaptive node set and one evaluation of phihat, on
+    [0, _lewis_cutoff].
+    """
+    big_t, law, r = mt.maturity, mt.params.jumps, mt.params.r
+    strikes = np.array(strikes, dtype=float)
+    kbar = (np.log(s0 / strikes) + r * big_t)[:, None]
+    var_t = mt.v0 * mt.v0 * big_t
+
+    def integrand(u):
+        w = u * u + 0.25           # i z + z^2 at z = u - i/2
+        phi = np.exp(-0.5 * var_t * w + jump_laws.jump_exponent(law, u - 0.5j, big_t))
+        e = np.exp(1j * kbar * u) * phi
+        return np.concatenate([e.real / w, e.real * w, 0.5 * e.real - u * e.imag])
+
+    ints = quadrature.gk15_adaptive(integrand, 0.0, _lewis_cutoff(law, var_t, big_t),
+                                    _LEWIS_QUAD).value
+    n = len(strikes)
+    c = np.sqrt(s0 * strikes) * math.exp(-0.5 * r * big_t) / math.pi
+    base = s0 - c * ints[:n]
+    gamma2 = -c * ints[n:2 * n]
+    lambda_gamma = c * ints[2 * n:]
+    return [((b,), (g2,), (lg,)) for b, g2, lg in
+            zip(base.tolist(), gamma2.tolist(), lambda_gamma.tolist())]
+
+
+def _lewis_cutoff(law: JumpLaw, var_t: float, big_t: float) -> float:
+    """U with every _lewis_sums integrand's integral over [U, inf) below
+    _LEWIS_TAIL in absolute value.
+
+    |phihat(u - i/2)| <= B e^(-a u^2), a = v0^2 T / 2, where
+    B = exp(lambda T (E e^(Y/2) - 1) - lambda k T / 2) bounds the jump
+    factor, since |Psi(u - i/2)| <= E e^(Y/2). For u >= 1 each weight
+    is at most u^2 + 5/4, and int_U^inf (u^2 + c) e^(-a u^2) du <=
+    (U^2 + 1/a + c) e^(-a U^2) / (2 a U). A finite range keeps the
+    adaptive width-shares on the u axis: the map of
+    integrate_semi_infinite crowds a wide law's oscillations near s = 0
+    and needs ~8x the subintervals.
+    """
+    a = 0.5 * var_t
+    lam_t = law.intensity * big_t
+    log_b = 0.0
+    if lam_t > 0.0:
+        half = jump_laws.jump_char_fn(law, -0.5j).real     # E e^(Y/2)
+        log_b = lam_t * (half - 1.0) - 0.5 * lam_t * jump_laws.compensator_k(law)
+    u = max(1.0, 1.0 / math.sqrt(a))
+    for _ in range(4):
+        excess = (log_b - math.log(_LEWIS_TAIL)
+                  + math.log((u * u + 1.0 / a + 1.25) / (2.0 * a * u)))
+        u = max(u, math.sqrt(max(excess, 0.0) / a))
+    return u
 
 
 def _compose(mt: MaturityTerms, g_parts, g2_parts, lg_parts) -> PriceResult:
@@ -189,8 +266,7 @@ def price_smile(params: ModelParams, s0: float, strikes, big_t: float,
     Returns a list of (strike, PriceResult | Exception), ascending
     strike. A strike that is no valid Contract gets its own ParamError;
     a failure to build the terms (mt defaults to maturity_terms(params,
-    big_t)) is paired with every strike, and so is a failure of the
-    LogNormal pass. Other laws are priced and fail strike by strike.
+    big_t)) is paired with every strike, and so is a failure of the pass.
     """
     if not strikes:
         raise ParamError("strikes must be nonempty")
@@ -211,14 +287,12 @@ def price_smile(params: ModelParams, s0: float, strikes, big_t: float,
         else:
             results.append(None)
     valid = [i for i, res in enumerate(results) if res is None]
-    # one pass over every valid strike; strike by strike for other laws
-    passes = ([valid] if valid and isinstance(params.jumps.variant, LogNormal)
-              else [[i] for i in valid])
-    for batch in passes:
+    if valid:
+        # one pass over every valid strike
         try:
-            priced = _price_strikes(mt, s0, [strikes[i] for i in batch])
+            priced = _price_strikes(mt, s0, [strikes[i] for i in valid])
         except PRICING_ERRORS as exc:
-            priced = [exc] * len(batch)
-        for i, res in zip(batch, priced):
+            priced = [exc] * len(valid)
+        for i, res in zip(valid, priced):
             results[i] = res
     return list(zip(strikes, results))

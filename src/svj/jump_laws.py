@@ -8,16 +8,22 @@ Three amplitude laws for the compound-Poisson jump J_t = sum Y_i:
     LogUniform(a, b)           Y ~ U[a, b]
 
 Provides the Poisson weights p_n(lambda T), series truncation, the
-compensator k = E(e^Y - 1), characteristic functions E(e^{iuY}), the
-n-fold convolution densities of Y (closed forms for Kou and LogUniform),
-and the generic mixture integral
+compensator k = E(e^Y - 1), characteristic functions E(e^{iuY}) and the
+compensated jump exponent lambda T (Psi(u) - 1) - iu lambda k T that the
+Fourier routes share (jump_exponent), the n-fold convolution densities
+of Y (closed forms for Kou and LogUniform), and the generic mixture
+integral
 
     gn_generic = E[ bs_price(0, x + J_n, v0) ]   at rate r_eff,
 
 with J_n the sum of n i.i.d. amplitudes. For the LogNormal law the
 mixture collapses to a single Black-Scholes evaluation at shifted
-inputs (lognormal_shift); the quadrature route is kept as an
-independent cross-check, not replaced.
+inputs (lognormal_shift). The pricer sums Kou and LogUniform mixtures
+by one Fourier integral per maturity (approx_pricer._lewis_sums), so
+gn_generic and the convolution densities are off the pricing path:
+they stay as an independent cross-check of both routes. The
+Irwin-Hall sum behind the LogUniform density cancels for n >= 9, so
+that check holds only at small lambda T.
 """
 from __future__ import annotations
 
@@ -187,6 +193,17 @@ def jump_char_fn(law, u):
     else:
         raise ParamError(f"unknown jump variant {type(v).__name__}")
     return out if out.shape else complex(out)
+
+
+def jump_exponent(law: JumpLaw, u, big_t: float):
+    """lambda T (Psi(u) - 1) - iu lambda k T: the log of the compensated
+    compound-Poisson factor of the CF, for complex ndarray u; 0.0 when
+    lambda = 0."""
+    lam = law.intensity
+    if lam == 0.0:
+        return 0.0
+    k = compensator_k(law)
+    return lam * big_t * (jump_char_fn(law, u) - 1.0) - 1j * u * lam * k * big_t
 
 
 # ---------------------------------------------------------------------------

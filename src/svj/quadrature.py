@@ -4,7 +4,10 @@ A 7-point Gauss rule is nested inside the 15-point Kronrod rule; the
 difference between the two estimates drives local bisection. The
 integrand is called on numpy arrays of abscissae (all intervals queued
 for refinement are evaluated in one call), so vectorised integrands pay
-Python overhead once per refinement round, not once per node.
+Python overhead once per refinement round, not once per node. An
+integrand may also return m stacked components per node; they share
+one node set, refined wherever any component is short of its own
+tolerance.
 """
 from __future__ import annotations
 
@@ -57,15 +60,29 @@ class QuadratureResult:
 
 DEFAULT_CONFIG = QuadratureConfig()
 
+# No tolerance asks for less than the rounding error of the sums: 50
+# machine epsilons (QUADPACK's dqk15 floor) of sum_i |integral over
+# interval i|, which approaches the integral of |f| as the intervals
+# resolve the integrand. Without it a cancelling integrand, large
+# against its integral, refines until the budget runs out while its
+# error estimate only accumulates rounding noise.
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
 
 def gk15_adaptive(f, a: float, b: float,
                   config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """Integrate f over [a, b] to the configured tolerance.
 
-    f must accept a 1-d numpy array and return same-shape values.
+    f must accept a 1-d numpy array of N abscissae and return N values,
+    or an (m, N) array: m integrands sharing one adaptive node set. Each
+    component j must meet max(abs_tol, rel_tol*|integral_j|), but never
+    less than the rounding floor of its interval sums (_ROUNDOFF). An
+    interval is split while any component's error on it exceeds its
+    width-share of that component's tolerance. value and error_estimate
+    are floats for a scalar integrand and (m,) arrays for a stacked one.
     Raises QuadratureError if the subdivision budget is exhausted
-    before the error estimate meets max(abs_tol, rel_tol*|integral|),
-    or if the integrand returns non-finite values.
+    before every component meets its tolerance, or if the integrand
+    returns non-finite values.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("gk15_adaptive needs finite endpoints; transform first")
@@ -76,11 +93,12 @@ def gk15_adaptive(f, a: float, b: float,
         a, b = b, a
         sign = -1.0
 
-    # intervals already evaluated
+    # intervals already evaluated: for m components, rows [0, m) of est
+    # hold the Kronrod estimates, rows [m, 2m) the error estimates and rows
+    # [2m, 3m) the estimates' absolute values, one column per interval
     ivl_lo = np.empty(0)
     ivl_hi = np.empty(0)
-    vals = np.empty(0)
-    errs = np.empty(0)
+    est = None
     # intervals queued for evaluation
     pend_lo = np.array([float(a)])
     pend_hi = np.array([float(b)])
@@ -91,41 +109,54 @@ def gk15_adaptive(f, a: float, b: float,
         mid = 0.5 * (pend_lo + pend_hi)
         half = 0.5 * (pend_hi - pend_lo)
         pts = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-        fy = np.asarray(f(pts), dtype=float).reshape(len(mid), 15)
+        fy = np.asarray(f(pts), dtype=float)
+        stacked = fy.ndim == 2
+        fy = fy.reshape(-1, len(mid), 15)
+        m = len(fy)
         if not np.isfinite(fy).all():
             raise QuadratureError("gk15_adaptive: integrand returned non-finite values")
         n_evals += pts.size
-        k_est = (fy * _W_KRONROD).sum(axis=1) * half
-        g_est = (fy * _W_GAUSS).sum(axis=1) * half
+        k_est = np.add.reduce(fy * _W_KRONROD, axis=2) * half
+        g_est = np.add.reduce(fy * _W_GAUSS, axis=2) * half
+        new = np.concatenate([k_est, np.abs(k_est - g_est), np.abs(k_est)])
 
         ivl_lo = np.concatenate([ivl_lo, pend_lo])
         ivl_hi = np.concatenate([ivl_hi, pend_hi])
-        vals = np.concatenate([vals, k_est])
-        errs = np.concatenate([errs, np.abs(k_est - g_est)])
+        est = new if est is None else np.concatenate([est, new], axis=1)
 
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        tol = max(config.abs_tol, config.rel_tol * abs(total))
-        if total_err <= tol:
-            return QuadratureResult(sign * total, total_err, n_evals, n_splits)
-        if len(vals) >= config.max_subdivisions:
+        sums = np.add.reduce(est, axis=1)
+        total, total_err = sums[:m], sums[m:2 * m]
+        tol = [max(config.abs_tol, config.rel_tol * abs(t), _ROUNDOFF * t_abs)
+               for t, t_abs in zip(total.tolist(), sums[2 * m:].tolist())]
+        if all(e <= t for e, t in zip(total_err.tolist(), tol)):
+            if stacked:
+                return QuadratureResult(sign * total, total_err, n_evals, n_splits)
+            return QuadratureResult(sign * float(total[0]), float(total_err[0]),
+                                    n_evals, n_splits)
+        tol = np.array(tol)
+        if len(ivl_lo) >= config.max_subdivisions:
+            j = int(np.argmax(total_err / tol))
             raise QuadratureError(
-                f"gk15_adaptive: {len(vals)} subintervals, error estimate "
-                f"{total_err:.3e} > tolerance {tol:.3e} on [{a}, {b}]")
+                f"gk15_adaptive: {len(ivl_lo)} subintervals, error estimate "
+                f"{total_err[j]:.3e} > tolerance {tol[j]:.3e} on [{a}, {b}]")
 
-        # split every interval carrying more than its width-share of the
-        # budget; at least one such interval exists whenever total_err > tol
-        share = tol * (ivl_hi - ivl_lo) / (b - a)
-        bad = errs > share
+        # split every interval carrying more than its width-share of some
+        # component's budget; at least one such interval exists whenever
+        # a component's total error exceeds its tolerance
+        errs = est[m:2 * m]
+        share = tol[:, None] * (ivl_hi - ivl_lo) / (b - a)
+        bad = np.logical_or.reduce(errs > share)
         if not bad.any():
-            bad = errs >= errs.max()
-        mid_bad = 0.5 * (ivl_lo[bad] + ivl_hi[bad])
-        pend_lo = np.concatenate([ivl_lo[bad], mid_bad])
-        pend_hi = np.concatenate([mid_bad, ivl_hi[bad]])
-        n_splits += int(bad.sum())
+            worst = errs[total_err > tol]
+            bad = (worst >= worst.max(axis=1, keepdims=True)).any(axis=0)
+        lo_bad, hi_bad = ivl_lo[bad], ivl_hi[bad]
+        mid_bad = 0.5 * (lo_bad + hi_bad)
+        pend_lo = np.concatenate([lo_bad, mid_bad])
+        pend_hi = np.concatenate([mid_bad, hi_bad])
+        n_splits += len(mid_bad)
         keep = ~bad
         ivl_lo, ivl_hi = ivl_lo[keep], ivl_hi[keep]
-        vals, errs = vals[keep], errs[keep]
+        est = est[:, keep]
 
 
 def integrate_semi_infinite(f, config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
@@ -133,7 +164,8 @@ def integrate_semi_infinite(f, config: QuadratureConfig = DEFAULT_CONFIG) -> Qua
 
     The transformed integrand is f((1-s)/s) / s^2 on s in (0, 1); the
     GK15 nodes never touch the endpoints, so f is only evaluated at
-    finite u > 0 and decaying integrands underflow harmlessly.
+    finite u > 0 and decaying integrands underflow harmlessly. f may
+    return stacked (m, N) values, as in gk15_adaptive.
     """
     def g(s):
         u = (1.0 - s) / s

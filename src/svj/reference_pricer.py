@@ -29,7 +29,7 @@ from scipy.optimize import brentq
 from . import bs_kernel
 from .approx_pricer import Contract, ModelParams
 from .errors import BracketError, ParamError
-from .jump_laws import compensator_k, jump_char_fn
+from .jump_laws import jump_exponent
 from .quadrature import QuadratureConfig, integrate_semi_infinite
 
 DEFAULT_REF_QUAD = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-11,
@@ -57,8 +57,6 @@ def bates_char_fn(u, params: ModelParams, big_t: float, x0: float = 0.0):
         raise ParamError(f"need T > 0, got {big_t}")
     h = params.heston
     u = np.asarray(u, dtype=complex)
-    lam = params.jumps.intensity
-    k = compensator_k(params.jumps)
     iu = 1j * u
     drift = iu * (x0 + params.r * big_t)
 
@@ -78,11 +76,7 @@ def bates_char_fn(u, params: ModelParams, big_t: float, x0: float = 0.0):
         heston_part = (h.theta * h.kappa * (ratio * big_t - 2.0 * log_term / nu2)
                        + h.sigma0_sq * ratio * (1.0 - edt) / (1.0 - g * edt))
 
-    if lam > 0.0:
-        jump_part = lam * big_t * (jump_char_fn(params.jumps, u) - 1.0) - iu * lam * k * big_t
-    else:
-        jump_part = 0.0
-    out = np.exp(drift + heston_part + jump_part)
+    out = np.exp(drift + heston_part + jump_exponent(params.jumps, u, big_t))
     return out if out.shape else complex(out)
 
 

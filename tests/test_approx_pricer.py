@@ -1,15 +1,19 @@
 """Three-term decomposition pricer: reductions, identities, regressions."""
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _frozen as fz
 from _terms import gn_term
 from conftest import make_params
-from svj import bench, bs_kernel, heston_moments, jump_laws
+from svj import bench, bs_kernel, heston_moments, jump_laws, quadrature
 from svj.approx_pricer import (Contract, ModelParams, maturity_terms,
                                price_approx, price_smile)
-from svj.errors import DomainError, ParamError, SeriesTruncationError
+from svj.errors import (PRICING_ERRORS, DomainError, ParamError,
+                        SeriesTruncationError)
 from svj.heston_moments import HestonParams
 from svj.jump_laws import JumpLaw, Kou, LogNormal, LogUniform
 from svj.reference_pricer import price_reference
@@ -203,3 +207,126 @@ def test_validation():
     params = make_params(nu=0.05, rho=-0.2)
     with pytest.raises(ParamError):
         ModelParams(heston=params.heston, jumps=params.jumps, r=-0.01)
+
+
+# ---------------------------------------------------------------------------
+# Kou and LogUniform: one Lewis integral per maturity
+
+FOOTNOTE_HESTON = HestonParams(kappa=1.5, theta=0.2, nu=0.05, rho=-0.2,
+                               sigma0_sq=0.25)
+
+
+def _generic(variant, lam, heston=FOOTNOTE_HESTON, r=0.001):
+    return ModelParams(heston=heston,
+                       jumps=JumpLaw(intensity=lam, variant=variant), r=r)
+
+
+kou_laws = st.builds(Kou, p=st.floats(0.0, 1.0), eta1=st.floats(1.01, 50.0),
+                     eta2=st.floats(0.5, 50.0))
+loguniform_laws = st.builds(
+    lambda a, w: LogUniform(a=a, b=a + w),
+    st.floats(-1.0, 0.5), st.floats(1e-3, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(variant=st.one_of(kou_laws, loguniform_laws),
+       lam_t=st.floats(0.0, 5.0), big_t=st.floats(0.1, 5.0),
+       kappa=st.floats(0.1, 5.0), theta=st.floats(0.01, 0.5),
+       sigma0_sq=st.floats(0.01, 0.5), rho=st.floats(-1.0, 1.0),
+       r=st.floats(0.0, 0.1), strike=st.floats(50.0, 200.0))
+def test_generic_laws_exact_at_zero_volofvol(variant, lam_t, big_t, kappa,
+                                             theta, sigma0_sq, rho, r,
+                                             strike):
+    """At nu = 0 the decomposition is exact: its price is the Fourier
+    reference of the same model, for every law, lambda T and maturity."""
+    heston = HestonParams(kappa=kappa, theta=theta, nu=0.0, rho=rho,
+                          sigma0_sq=sigma0_sq)
+    params = _generic(variant, lam_t / big_t, heston, r)
+    c = Contract(s0=100.0, strike=strike, maturity=big_t)
+    res = price_approx(params, c)
+    assert res.r0_term == 0.0 and res.u0_term == 0.0
+    assert res.price == pytest.approx(price_reference(params, c),
+                                      rel=0, abs=1e-9)
+
+
+def test_loguniform_at_lambda_t_point_three_prices():
+    """LogUniform(-0.3, 0.2) at lambda T = 0.3 needs n >= 9 series terms,
+    where the Irwin-Hall density cancels; the Fourier route prices it.
+    v0 depends on neither nu nor rho, so base_term is the nu = 0 price."""
+    params = _generic(LogUniform(a=-0.3, b=0.2), 0.3)
+    c = Contract(s0=100.0, strike=100.0, maturity=1.0)
+    res = price_approx(params, c)
+    assert all(math.isfinite(v) for v in
+               (res.price, res.base_term, res.r0_term, res.u0_term))
+    assert res.price == res.base_term + res.r0_term + res.u0_term
+    flat = _generic(LogUniform(a=-0.3, b=0.2), 0.3,
+                    dataclasses.replace(FOOTNOTE_HESTON, nu=0.0))
+    assert res.base_term == pytest.approx(price_reference(flat, c),
+                                          rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("variant", [Kou(p=0.4, eta1=10.0, eta2=5.0),
+                                     Kou(p=0.7, eta1=3.0, eta2=2.0),
+                                     LogUniform(a=-0.3, b=0.2),
+                                     LogUniform(a=-0.1, b=0.05)])
+@pytest.mark.parametrize("big_t", [0.25, 1.0, 3.0])
+def test_fourier_terms_match_convolution_route(variant, big_t):
+    """At lambda T = 0.03, where the convolution densities are exact, each
+    term of the Fourier route matches the series of gn_generic
+    quadratures. The Fourier route sums the whole series; the default
+    tail of 1e-12 times G_n ~ S0 (1 + k)^n would be ~1e-10 itself, so the
+    convolution series is cut at 1e-15."""
+    params = _generic(variant, 0.03 / big_t, make_params(nu=0.3, rho=-0.6).heston)
+    mt = maturity_terms(params, big_t, tol=1e-15)
+    strikes = [80.0, 100.0, 125.0]
+    for strike, res in price_smile(params, 100.0, strikes, big_t):
+        c = Contract(s0=100.0, strike=strike, maturity=big_t)
+        terms = [(p_n, gn_term(n, params, c))
+                 for n, (p_n, *_) in enumerate(mt.terms)]
+        want = (math.fsum(p_n * g for p_n, (g, _, _) in terms),
+                mt.r0 * math.fsum(p_n * g2 for p_n, (_, g2, _) in terms),
+                mt.u0 * math.fsum(p_n * lg for p_n, (_, _, lg) in terms))
+        got = (res.base_term, res.r0_term, res.u0_term)
+        assert got == pytest.approx(want, rel=0, abs=1e-10)
+
+
+@pytest.mark.parametrize("variant", [Kou(p=0.4, eta1=10.0, eta2=5.0),
+                                     LogUniform(a=-0.3, b=0.2)])
+def test_generic_degenerate_and_tiny_vol(variant):
+    """A degenerate v0 sqrt(T) fails every strike with DomainError; a tiny
+    but non-degenerate one prices or raises a pricing error, never NaN."""
+    params = _generic(variant, 0.1)
+    strikes = [90.0, 100.0, 110.0]
+    for _, res in price_smile(params, 100.0, strikes, 1e-26):
+        assert type(res) is DomainError
+    for big_t in (1e-20, 1e-12, 1e-6):
+        for _, res in price_smile(params, 100.0, strikes, big_t):
+            if isinstance(res, Exception):
+                assert isinstance(res, PRICING_ERRORS)
+            else:
+                assert all(math.isfinite(v) for v in
+                           (res.price, res.base_term, res.r0_term,
+                            res.u0_term))
+
+
+def test_generic_smile_is_one_quadrature(monkeypatch):
+    """Ten strikes of a Kou law share one adaptive integration and make no
+    per-term convolution quadrature."""
+    calls = {"gk15_adaptive": 0, "gn_generic": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapped(*a, **kw):
+            calls[name] += 1
+            return original(*a, **kw)
+        monkeypatch.setattr(module, name, wrapped)
+
+    count(quadrature, "gk15_adaptive")
+    count(jump_laws, "gn_generic")
+    params = _generic(Kou(p=0.4, eta1=10.0, eta2=5.0), 0.5)
+    out = price_smile(params, 100.0, [float(k) for k in range(80, 130, 5)],
+                      2.0)
+    assert len(out) == 10
+    assert all(math.isfinite(res.price) for _, res in out)
+    assert calls == {"gk15_adaptive": 1, "gn_generic": 0}

@@ -188,6 +188,46 @@ def test_smile_keeps_valid_legs_of_a_failed_row(tmp_path, capsys):
     assert "ERROR" not in out
 
 
+GENERIC_LAWS = {
+    "kou": {"type": "kou", "lambda": 0.25, "p": 0.4, "eta1": 10.0, "eta2": 5.0},
+    # lambda T = 0.3: the Irwin-Hall density of the convolution route
+    # cancels here, the Fourier route prices it
+    "loguniform": {"type": "loguniform", "lambda": 0.3, "a": -0.3, "b": 0.2},
+}
+
+
+@pytest.mark.parametrize("law", GENERIC_LAWS)
+def test_generic_law_price_and_smile(tmp_path, capsys, law):
+    """svj price and svj smile --iv price Kou and LogUniform laws in
+    full, at the prices of price_smile."""
+    from svj.approx_pricer import price_smile
+    doc = json.loads(FOOTNOTE.read_text())
+    doc["nu"], doc["rho"] = 0.05, -0.2
+    doc["jump"] = GENERIC_LAWS[law]
+    pfile = tmp_path / f"{law}.json"
+    pfile.write_text(json.dumps(doc))
+    params, s0 = cli.load_params(str(pfile))
+
+    code, out, _ = run_cli(capsys, ["price", "--params", str(pfile),
+                                    "--strike", "100", "--maturity", "1"])
+    assert code == 0
+    (_, want), = price_smile(params, s0, [100.0], 1.0)
+    got = json.loads(out)
+    assert (got["price"], got["base_term"], got["r0_term"], got["u0_term"]) \
+        == (want.price, want.base_term, want.r0_term, want.u0_term)
+
+    strikes = [90.0, 100.0, 110.0]
+    code, out, err = run_cli(capsys, ["smile", "--params", str(pfile),
+                                      "--strikes", "90,100,110",
+                                      "--maturity", "1", "--iv"])
+    assert code == 0 and err == ""
+    assert "ERROR" not in out
+    lines = out.strip().split("\n")
+    assert lines[0].split(",")[2] == "approx_price"
+    got = [float(line.split(",")[2]) for line in lines[1:]]
+    assert got == [res.price for _, res in price_smile(params, s0, strikes, 1.0)]
+
+
 @pytest.mark.parametrize("command", [
     ["price", "--strike", "100", "--maturity", "0.3"],
     ["smile", "--strikes", "90,100", "--maturity", "0.3"]])

@@ -53,3 +53,83 @@ def test_semi_infinite_exponential():
 def test_semi_infinite_gaussian():
     res = integrate_semi_infinite(lambda x: np.exp(-x * x), TIGHT)
     assert abs(res.value - math.sqrt(math.pi) / 2.0) < 1e-12
+
+
+# (value, error estimate, evals, subdivisions) of the scalar engine on the
+# cases above, pinned bit for bit as float.hex
+SCALAR_PINS = {
+    "smooth": ((lambda x: np.exp(-x * x) * np.cos(3.0 * x)), -2.0, 3.0,
+               "0x1.77aca5a8378e8p-3", "0x1.dcd4400000000p-47", 405, 13),
+    "kink": ((lambda x: np.abs(x - 0.37)), -1.0, 1.0,
+             "0x1.230be0ded3041p+0", "0x1.a8d8714b68000p-45", 495, 16),
+    "exp": ((lambda x: np.exp(x)), 0.0, 1.0,
+            "0x1.b7e151628aebdp+0", "0x1.9000000000000p-48", 15, 0),
+}
+SEMI_INFINITE_PINS = {
+    "exponential": ((lambda x: np.exp(-x)),
+                    "0x1.fffffffffffe6p-1", "0x1.2da5445711a58p-47", 285, 9),
+    "gaussian": ((lambda x: np.exp(-x * x)),
+                 "0x1.c5bf891b4ef53p-1", "0x1.57e6a420deea5p-44", 255, 8),
+}
+
+
+def _as_tuple(res):
+    return (np.asarray(res.value).item().hex(),
+            np.asarray(res.error_estimate).item().hex(),
+            res.n_evals, res.n_subdivisions)
+
+
+@pytest.mark.parametrize("name", SCALAR_PINS)
+def test_scalar_and_one_component_runs_are_pinned(name):
+    """A scalar integrand and the same integrand stacked as one component
+    take the pinned node sequence bit for bit."""
+    f, a, b, *want = SCALAR_PINS[name]
+    scalar = gk15_adaptive(f, a, b, TIGHT)
+    assert type(scalar.value) is float
+    assert _as_tuple(scalar) == tuple(want)
+    stacked = gk15_adaptive(lambda x: f(x)[None, :], a, b, TIGHT)
+    assert stacked.value.shape == (1,)
+    assert _as_tuple(stacked) == tuple(want)
+
+
+@pytest.mark.parametrize("name", SEMI_INFINITE_PINS)
+def test_semi_infinite_runs_are_pinned(name):
+    f, *want = SEMI_INFINITE_PINS[name]
+    assert _as_tuple(integrate_semi_infinite(f, TIGHT)) == tuple(want)
+    stacked = integrate_semi_infinite(lambda x: f(x)[None, :], TIGHT)
+    assert _as_tuple(stacked) == tuple(want)
+
+
+def test_stacked_components_match_their_own_integrals():
+    """Each component of a stacked run meets its own tolerance, on a node
+    set refined for the hardest one (the kink)."""
+    parts = [lambda x: np.exp(-x * x) * np.cos(3.0 * x),
+             lambda x: np.abs(x - 0.37),
+             lambda x: 1e-6 * np.exp(x)]
+    res = gk15_adaptive(lambda x: np.stack([f(x) for f in parts]),
+                        -1.0, 1.0, TIGHT)
+    assert res.value.shape == res.error_estimate.shape == (3,)
+    alone = [gk15_adaptive(f, -1.0, 1.0, TIGHT) for f in parts]
+    assert res.n_evals >= max(r.n_evals for r in alone)
+    for got, err, want in zip(res.value, res.error_estimate, alone):
+        tol = max(TIGHT.abs_tol, TIGHT.rel_tol * abs(want.value))
+        assert err <= tol
+        assert abs(got - want.value) <= 2.0 * tol
+
+
+def test_stacked_semi_infinite_components():
+    res = integrate_semi_infinite(
+        lambda x: np.stack([np.exp(-x), np.exp(-x * x), 1.0 / (1.0 + x * x)]),
+        TIGHT)
+    want = [1.0, math.sqrt(math.pi) / 2.0, math.pi / 2.0]
+    assert res.value == pytest.approx(want, rel=0, abs=1e-11)
+
+
+def test_stacked_budget_exceeded_raises():
+    """One component short of its tolerance exhausts the budget even when
+    the other converges at once."""
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=2)
+    with pytest.raises(QuadratureError):
+        gk15_adaptive(lambda x: np.stack([np.ones_like(x),
+                                          np.abs(np.sin(40.0 * x)) ** 0.3]),
+                      0.0, 9.0, cfg)
