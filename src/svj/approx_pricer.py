@@ -12,18 +12,19 @@ r0 and u0 come from heston_moments, and the Gamma2 / LambdaGamma images
 of G_n are the same mixtures of the bs_kernel operators. For LogNormal
 amplitudes the mixture has the closed form
 
-    G_n = e^(c_n T) bs_price(0, x, v_tilde_n)  at rate r_tilde_n = r + c_n
+    G_n = e^(c_n T) bs_price(0, x, v_tilde_n)  at rate r_tilde_n = r + c_n,
 
-(the e^(c_n T) factor restores the discounting the shifted-rate
-evaluation removes; without it the n >= 1 terms are biased by a factor
-(1+k)^n e^(-lambda k T), which at typical jump sizes is ~1e-2 of price).
+and c_n T = -lambda k T + n ln(1 + k) makes p_n(lambda T) e^(c_n T) the
+Poisson(lambda (1 + k) T) pmf pi_n: Merton's (1976) series, cut where
+its tail mass is <= tol, so that with bs_price <= S0 the dropped part
+of the base term is at most tol S0.
 For Kou and LogUniform amplitudes the three sums are Fourier integrals
 instead: sum_n p_n G_n is the Lewis (2001) price of the nu = 0 model
 with variance v0^2 and the same jumps, and Gamma2, LambdaGamma act on
 its integrand as the multipliers (u^2 + 1/4)^2 and -(iu + 1/2)(u^2 +
 1/4). One characteristic-function evaluation per node then yields all
 three terms, and the Poisson series is never summed (_lewis_sums);
-maturity_terms still reports its truncation.
+maturity_terms still reports its Poisson(lambda T) truncation.
 
 All but the kernel evaluations depend on (params, T) alone, not on the
 strike: maturity_terms computes them once per maturity. The strike axis
@@ -86,48 +87,43 @@ class PriceResult:
     truncation: SeriesTruncation
 
 
-def term_inputs(n: int, params: ModelParams, v0: float, big_t: float) -> tuple:
-    """(scale, vol, rate) of the n-jump term.
-
-    G_n = scale * bs_price(x, vol, K, rate, T) for LogNormal amplitudes
-    (the shifted closed form), and scale * E[bs_price(x + J_n, vol, K,
-    rate, T)] otherwise; the Gamma2 and LambdaGamma images use the same
-    inputs.
-    """
-    jumps = params.jumps
-    if isinstance(jumps.variant, LogNormal):
-        vol, rate = jump_laws.lognormal_shift(n, jumps, v0, params.r, big_t)
-        return math.exp((rate - params.r) * big_t), vol, rate
-    lam_k = jumps.intensity * jump_laws.compensator_k(jumps)
-    return math.exp(-lam_k * big_t), v0, params.r - lam_k
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class MaturityTerms:
-    """Strike-free inputs at one (params, T); terms holds one
-    (p_n, scale, vol, rate) per n = 0..n_max, see term_inputs."""
+    """Strike-free inputs at one (params, T). LogNormal laws: truncation
+    of Poisson(lambda (1+k) T), whose weights pi_n multiply the kernels
+    at the read-only shifted inputs vol[n], rate[n]. Other laws: the
+    Poisson(lambda T) truncation, reported only; vol and rate are None."""
     params: ModelParams
     maturity: float
     v0: float
     u0: float
     r0: float
     truncation: SeriesTruncation
-    terms: tuple
+    vol: np.ndarray = None
+    rate: np.ndarray = None
 
 
 def maturity_terms(params: ModelParams, big_t: float,
                    tol: float = jump_laws.DEFAULT_SERIES_TOL) -> MaturityTerms:
-    """v0, u0, r0, the Poisson truncation and every term's inputs at T."""
+    """v0, u0, r0, the series truncation and, for LogNormal amplitudes,
+    every term's shifted inputs at T."""
     if not (math.isfinite(big_t) and big_t > 0.0):
         raise ParamError(f"maturity must be finite and > 0, got {big_t}")
+    jumps = params.jumps
     v0 = heston_moments.avg_expected_variance_v0(params.heston, big_t)
-    trunc = jump_laws.truncate_series(params.jumps.intensity * big_t, tol)
-    u0v = heston_moments.u0(params.heston, big_t)
-    r0v = heston_moments.r0(params.heston, big_t)
-    terms = tuple((p_n, *term_inputs(n, params, v0, big_t))
-                  for n, p_n in enumerate(trunc.weights))
-    return MaturityTerms(params=params, maturity=big_t, v0=v0, u0=u0v, r0=r0v,
-                         truncation=trunc, terms=terms)
+    lognormal = isinstance(jumps.variant, LogNormal)
+    # p_n(lambda T) e^(c_n T) = pi_n, the Poisson(lambda (1+k) T) pmf
+    growth = 1.0 + jump_laws.compensator_k(jumps) if lognormal else 1.0
+    trunc = jump_laws.truncate_series(jumps.intensity * growth * big_t, tol)
+    vol = rate = None
+    if lognormal:
+        vol, rate = jump_laws.lognormal_shift(np.arange(trunc.n_max + 1),
+                                              jumps, v0, params.r, big_t)
+        vol.flags.writeable = rate.flags.writeable = False
+    return MaturityTerms(params=params, maturity=big_t, v0=v0,
+                         u0=heston_moments.u0(params.heston, big_t),
+                         r0=heston_moments.r0(params.heston, big_t),
+                         truncation=trunc, vol=vol, rate=rate)
 
 
 def _check_terms(mt: MaturityTerms, params: ModelParams, big_t: float) -> None:
@@ -144,16 +140,14 @@ def _price_strikes(mt: MaturityTerms, s0: float, strikes) -> list:
     (_compose).
     """
     big_t = mt.maturity
-    x = math.log(s0)
-    jumps = mt.params.jumps
-    if isinstance(jumps.variant, LogNormal):
-        # rows: strikes; columns: terms
-        p_n, scale, vol, rate = np.array(mt.terms).T
-        # the scalar kernels' degenerate check, once for all terms
-        bs_kernel.check_nondegenerate(float(vol.min()), big_t)
+    if mt.vol is not None:
+        # rows: strikes, columns: terms; one degenerate check for all terms
+        bs_kernel.check_nondegenerate(float(mt.vol.min()), big_t)
         kernels = bs_kernel.pricer_kernels_arr(
-            x, vol, np.array(strikes, dtype=float)[:, None], rate, big_t)
-        g, g2, lg = ((p_n * (scale * k)).tolist() for k in kernels)
+            math.log(s0), mt.vol, np.array(strikes, dtype=float)[:, None],
+            mt.rate, big_t)
+        w = np.array(mt.truncation.weights)
+        g, g2, lg = ((w * k).tolist() for k in kernels)
         return [_compose(mt, *parts) for parts in zip(g, g2, lg)]
     bs_kernel.check_nondegenerate(mt.v0, big_t)
     return [_compose(mt, *parts) for parts in _lewis_sums(mt, s0, strikes)]
@@ -268,7 +262,7 @@ def price_smile(params: ModelParams, s0: float, strikes, big_t: float,
     a failure to build the terms (mt defaults to maturity_terms(params,
     big_t)) is paired with every strike, and so is a failure of the pass.
     """
-    if not strikes:
+    if len(strikes) == 0:
         raise ParamError("strikes must be nonempty")
     strikes = sorted(strikes)
     if mt is None:

@@ -253,8 +253,7 @@ def _price_pass(fn, param_sets, batch):
     return wall, math.fsum(acc), failures
 
 
-def _time_method(name: str, param_sets, batch, repeats: int, max_sets: int):
-    fn = _method_fn(name)
+def _time_method(fn, param_sets, batch, repeats: int, max_sets: int):
     timed_sets = param_sets[:max_sets] if max_sets < len(param_sets) else param_sets
     scale = len(param_sets) / len(timed_sets)
     # warm-up pass, excluded from the medians
@@ -285,7 +284,11 @@ def run_bench(task: BenchTask, methods=("approximation", "one_integral",
     Identical parameter draws and option batch across methods. Large tasks
     subsample the reference methods (never the approximation) and scale;
     task 1 uses median of 3 passes, larger tasks a single timed pass.
+    Unknown methods and max_ref_sets < 1 are refused before any timing.
     """
+    if max_ref_sets < 1:
+        raise ParamError(f"max_ref_sets must be >= 1, got {max_ref_sets}")
+    fns = {name: _method_fn(name) for name in methods}
     param_sets = sample_param_sets(task.n_param_sets, task.seed)
     batch = option_batch()
     repeats = 3 if task.task_id == 1 else 1
@@ -297,11 +300,11 @@ def run_bench(task: BenchTask, methods=("approximation", "one_integral",
         "single_thread": True,
         "methods": {},
     }
-    for name in methods:
+    for name, fn in fns.items():
         cap = len(param_sets)
         if name != "approximation":
             cap = min(cap, max_ref_sets)
-        report["methods"][name] = _time_method(name, param_sets, batch,
+        report["methods"][name] = _time_method(fn, param_sets, batch,
                                                repeats, cap)
     if "two_integral" in report["methods"]:
         base = report["methods"]["two_integral"]["wall_s"]

@@ -11,7 +11,7 @@ with vega = d(BS)/dy at (x, v0) under the compensated rate r - lambda k.
 The operator mixtures are exactly the pricer's correction sums, so
 bs_price(x, iv) - price_approx reduces to the linearization remainder.
 
-iv_surface_approx and iv_atm_display read v0, u0, r0, the Poisson
+iv_surface_approx and iv_atm_display read v0, u0, r0, the Merton
 weights and the shifted inputs from approx_pricer.maturity_terms. For
 log-normal amplitudes each summand also has the closed form
 
@@ -38,7 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import bs_kernel
+import numpy as np
+
+from . import bs_kernel, jump_laws
 from .approx_pricer import (Contract, MaturityTerms, ModelParams, maturity_terms,
                            price_approx)
 from .errors import ParamError
@@ -65,7 +67,7 @@ def iv_surface_approx(params: ModelParams, strike: float, big_t: float,
         mt = maturity_terms(params, big_t)
     res = price_approx(params, Contract(s0=s0, strike=strike, maturity=big_t),
                        mt)
-    r_hat = mt.terms[0][3]  # r - lambda k, the rate of the n=0 term
+    r_hat = params.r - params.jumps.intensity * jump_laws.compensator_k(params.jumps)
     vega = bs_kernel.bs_vega(math.log(s0), mt.v0, strike, r_hat, big_t)
     i1 = res.u0_term / vega
     i2 = res.r0_term / vega
@@ -89,13 +91,11 @@ def iv_atm_display(params: ModelParams, big_t: float, s0: float) -> float:
     if not isinstance(params.jumps.variant, LogNormal):
         raise ParamError("ATM display needs log-normal amplitudes")
     mt = maturity_terms(params, big_t)
-    s1 = []
-    s2 = []
-    for p_n, _, vt, rt in mt.terms:
-        c_n = rt - params.r
-        vt2 = vt * vt
-        g_atm = -0.5 * (c_n * big_t + c_n * c_n * big_t / vt2)
-        w = p_n * math.exp(g_atm) / (vt * big_t)
-        s1.append(w * (0.5 - c_n / vt2))
-        s2.append(w * (0.25 + 1.0 / (vt2 * big_t) - c_n * c_n / (vt2 * vt2)))
+    vt, c_n = mt.vol, mt.rate - params.r
+    vt2 = vt * vt
+    g_atm = -0.5 * (c_n * big_t + c_n * c_n * big_t / vt2)
+    # with Merton's pi_n = p_n e^(c_n T): pi_n e^(gamma_n - c_n T) = p_n e^gamma_n
+    w = np.array(mt.truncation.weights) * np.exp(g_atm - c_n * big_t) / (vt * big_t)
+    s1 = w * (0.5 - c_n / vt2)
+    s2 = w * (0.25 + 1.0 / (vt2 * big_t) - c_n * c_n / (vt2 * vt2))
     return mt.v0 + mt.u0 * math.fsum(s1) - mt.r0 * math.fsum(s2)

@@ -18,12 +18,13 @@ integral
 
 with J_n the sum of n i.i.d. amplitudes. For the LogNormal law the
 mixture collapses to a single Black-Scholes evaluation at shifted
-inputs (lognormal_shift). The pricer sums Kou and LogUniform mixtures
-by one Fourier integral per maturity (approx_pricer._lewis_sums), so
-gn_generic and the convolution densities are off the pricing path:
-they stay as an independent cross-check of both routes. The
-Irwin-Hall sum behind the LogUniform density cancels for n >= 9, so
-that check holds only at small lambda T.
+inputs (lognormal_shift), and the pricer weights those terms by the
+Poisson(lambda (1 + k) T) pmf (Merton 1976). It sums Kou and
+LogUniform mixtures by one Fourier integral per maturity
+(approx_pricer._lewis_sums), so gn_generic and the convolution
+densities are off the pricing path: they stay as an independent
+cross-check of both routes. The Irwin-Hall sum behind the LogUniform
+density cancels for n >= 9, so that check holds only at small lambda T.
 """
 from __future__ import annotations
 
@@ -209,24 +210,24 @@ def jump_exponent(law: JumpLaw, u, big_t: float):
 # ---------------------------------------------------------------------------
 # lognormal shifted inputs
 
-def lognormal_shift(n: int, law: JumpLaw, v0: float, r: float,
+def lognormal_shift(n, law: JumpLaw, v0: float, r: float,
                     big_t: float) -> tuple:
     """(v_tilde_n, r_tilde_n) for the n-jump lognormal closed form.
 
     r_tilde_n = r + c_n with c_n = -lambda k + n (mu_j + sigma_j^2/2)/T;
-    v_tilde_n = sqrt(v0^2 + n sigma_j^2 / T).
+    v_tilde_n = sqrt(v0^2 + n sigma_j^2 / T); n may be an array.
     """
     v = _variant(law)
     if not isinstance(v, LogNormal):
         raise ParamError(f"lognormal_shift needs a LogNormal law, got {type(v).__name__}")
     if big_t <= 0.0:
         raise ParamError(f"need T > 0, got {big_t}")
-    if n < 0:
+    if np.any(n < 0):
         raise ParamError(f"n must be >= 0, got {n}")
     lam = law.intensity if isinstance(law, JumpLaw) else 0.0
     half = v.mu_j + 0.5 * v.sigma_j ** 2
     c_n = -lam * math.expm1(half) + n * half / big_t
-    v_tilde = math.sqrt(v0 * v0 + n * v.sigma_j ** 2 / big_t)
+    v_tilde = np.sqrt(v0 * v0 + n * v.sigma_j ** 2 / big_t)
     return v_tilde, r + c_n
 
 

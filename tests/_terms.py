@@ -10,7 +10,6 @@ the frozen oracles.
 import math
 
 from svj import bs_kernel, heston_moments, jump_laws
-from svj.approx_pricer import term_inputs
 from svj.jump_laws import LogNormal
 
 
@@ -18,19 +17,26 @@ def gn_term(n, params, contract) -> tuple:
     """(G_n, Gamma2 G_n, LambdaGamma G_n) at t=0, x=ln s0.
 
     Values are under the pricing measure (the e^(-lambda k T) mixture
-    discount included), so sum_n p_n G_n alone prices the nu=0 model.
+    discount included), so sum_n p_n(lambda T) G_n alone prices the nu=0
+    model. LogNormal amplitudes use the shifted closed form, scaled by
+    e^(c_n T); other laws the quadrature of the n-fold convolution.
     """
     big_t = contract.maturity
     strike = contract.strike
     x = math.log(contract.s0)
     v0 = heston_moments.avg_expected_variance_v0(params.heston, big_t)
-    scale, vol, rate = term_inputs(n, params, v0, big_t)
     if isinstance(params.jumps.variant, LogNormal):
+        vol, rate = jump_laws.lognormal_shift(n, params.jumps, v0, params.r,
+                                              big_t)
+        scale = math.exp((rate - params.r) * big_t)
         return (scale * bs_kernel.bs_price(x, vol, strike, rate, big_t),
                 scale * bs_kernel.gamma2_bs(x, vol, strike, rate, big_t),
                 scale * bs_kernel.lambda_gamma_bs(x, vol, strike, rate, big_t))
-    return tuple(scale * jump_laws.gn_generic(x, n, params.jumps, vol, rate,
-                                              strike, big_t, kernel=kernel)
+    lam_k = params.jumps.intensity * jump_laws.compensator_k(params.jumps)
+    scale = math.exp(-lam_k * big_t)
+    return tuple(scale * jump_laws.gn_generic(x, n, params.jumps, v0,
+                                              params.r - lam_k, strike, big_t,
+                                              kernel=kernel)
                  for kernel in ("price", "gamma2", "lambda_gamma"))
 
 

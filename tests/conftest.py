@@ -37,7 +37,8 @@ def make_params(nu, rho, lam=0.05, mu_j=-0.05, sigma_j=0.5, r=0.001,
 @pytest.fixture
 def series_calls(monkeypatch):
     """Counts of the strike-free calls the pricer makes: truncate_series,
-    poisson_pmf, and the v0, u0, r0 moments."""
+    poisson_pmf, lognormal_shift, and the v0, u0, r0 moments. A function
+    not called has no entry."""
     calls = {}
 
     def count(module, name):
@@ -48,7 +49,7 @@ def series_calls(monkeypatch):
             return original(*a, **kw)
         monkeypatch.setattr(module, name, wrapped)
 
-    for name in ("truncate_series", "poisson_pmf"):
+    for name in ("truncate_series", "poisson_pmf", "lognormal_shift"):
         count(jump_laws, name)
     for name in ("avg_expected_variance_v0", "u0", "r0"):
         count(heston_moments, name)

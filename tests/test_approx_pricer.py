@@ -2,6 +2,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,23 +36,27 @@ def test_footnote_atm_regression():
 
 
 def test_series_is_walked_once(series_calls):
-    """One truncation, whose pmf values are the weights; one v0, u0, r0."""
+    """One truncation, whose pmf values are the weights; one
+    lognormal_shift call for all terms; one v0, u0, r0."""
     params = make_params(nu=0.3, rho=-0.5, lam=0.5)
     res = price_approx(params, Contract(s0=100.0, strike=90.0, maturity=2.0))
     assert res.truncation.n_max > 5
     assert series_calls == {"truncate_series": 1,
                             "poisson_pmf": res.truncation.n_max + 1,
+                            "lognormal_shift": 1,
                             "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
 
 
 def test_smile_builds_maturity_terms_once(series_calls):
-    """Ten strikes of one maturity share one truncation and one v0, u0, r0."""
+    """Ten strikes of one maturity share one truncation, one
+    lognormal_shift call and one v0, u0, r0."""
     params = make_params(nu=0.3, rho=-0.5, lam=0.5)
     out = price_smile(params, 100.0, [float(k) for k in range(80, 130, 5)],
                       2.0)
     n_max = out[0][1].truncation.n_max
     assert len(out) == 10 and n_max > 5
     assert series_calls == {"truncate_series": 1, "poisson_pmf": n_max + 1,
+                            "lognormal_shift": 1,
                             "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
 
 
@@ -92,6 +97,18 @@ def test_smile_pairs_invalid_strike_and_degenerate_maturity(big_t, error):
             assert type(res) is error
 
 
+def _paper_series(params, contract, mt):
+    """(base, r0, u0 terms) as the paper sums them, term by term:
+    p_n(lambda T) times gn_term's G_n and its two images, for n up to
+    mt's truncation."""
+    lam_t = params.jumps.intensity * contract.maturity
+    terms = [(jump_laws.poisson_pmf(n, lam_t), gn_term(n, params, contract))
+             for n in range(mt.truncation.n_max + 1)]
+    return (math.fsum(p_n * g for p_n, (g, _, _) in terms),
+            mt.r0 * math.fsum(p_n * g2 for p_n, (_, g2, _) in terms),
+            mt.u0 * math.fsum(p_n * lg for p_n, (_, _, lg) in terms))
+
+
 def _smile_grid(params):
     """price_smile over option_batch(), keyed by (maturity, strike)."""
     by_t = {}
@@ -105,16 +122,12 @@ def _smile_grid(params):
     *bench.sample_param_sets(40, seed=20240),
     make_params(nu=0.2, rho=-0.6, lam=0.0)])
 def test_smile_pass_matches_scalar_terms(params):
-    """The strike pass against the scalar closed form term by term, and
+    """The strike pass, summed with the Merton weights pi_n, against the
+    paper's p_n(lambda T) G_n series term by term, and
     price_approx bit-equal to the matching price_smile entry."""
     for (big_t, strike), res in _smile_grid(params).items():
         c = Contract(s0=bench.BATCH_S0, strike=strike, maturity=big_t)
-        mt = maturity_terms(params, big_t)
-        terms = [(p_n, gn_term(n, params, c))
-                 for n, (p_n, *_) in enumerate(mt.terms)]
-        want = (math.fsum(p_n * g for p_n, (g, _, _) in terms),
-                mt.r0 * math.fsum(p_n * g2 for p_n, (_, g2, _) in terms),
-                mt.u0 * math.fsum(p_n * lg for p_n, (_, _, lg) in terms))
+        want = _paper_series(params, c, maturity_terms(params, big_t))
         got = (res.base_term, res.r0_term, res.u0_term)
         assert got == pytest.approx(want, rel=0, abs=1e-12)
         assert res.price == pytest.approx(sum(want), rel=0, abs=1e-12)
@@ -188,6 +201,15 @@ def test_price_smile_sorted_and_exception_capture():
     assert all(res.price > 0.0 for _, res in out)
 
 
+def test_price_smile_takes_array_strikes():
+    params = make_params(nu=0.05, rho=-0.2)
+    strikes = [100.0, 90.0]
+    assert (price_smile(params, 100.0, np.array(strikes), 0.3)
+            == price_smile(params, 100.0, strikes, 0.3))
+    with pytest.raises(ParamError):
+        price_smile(params, 100.0, np.array([]), 0.3)
+
+
 def test_deep_strikes_stay_sane():
     params = make_params(nu=0.05, rho=-0.2)
     deep_itm = price_approx(params, Contract(s0=100.0, strike=5.0,
@@ -226,10 +248,12 @@ kou_laws = st.builds(Kou, p=st.floats(0.0, 1.0), eta1=st.floats(1.01, 50.0),
 loguniform_laws = st.builds(
     lambda a, w: LogUniform(a=a, b=a + w),
     st.floats(-1.0, 0.5), st.floats(1e-3, 1.0))
+lognormal_laws = st.builds(LogNormal, mu_j=st.floats(-0.5, 0.5),
+                           sigma_j=st.floats(0.0, 0.8))
 
 
 @settings(max_examples=150, deadline=None)
-@given(variant=st.one_of(kou_laws, loguniform_laws),
+@given(variant=st.one_of(kou_laws, loguniform_laws, lognormal_laws),
        lam_t=st.floats(0.0, 5.0), big_t=st.floats(0.1, 5.0),
        kappa=st.floats(0.1, 5.0), theta=st.floats(0.01, 0.5),
        sigma0_sq=st.floats(0.01, 0.5), rho=st.floats(-1.0, 1.0),
@@ -247,6 +271,22 @@ def test_generic_laws_exact_at_zero_volofvol(variant, lam_t, big_t, kappa,
     assert res.r0_term == 0.0 and res.u0_term == 0.0
     assert res.price == pytest.approx(price_reference(params, c),
                                       rel=0, abs=1e-9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(law=lognormal_laws, lam_t=st.floats(0.0, 5.0),
+       big_t=st.floats(0.1, 5.0), strike=st.floats(50.0, 200.0))
+def test_lognormal_truncation_bounds_dropped_base(law, lam_t, big_t, strike):
+    """Each term of the Merton series is pi_n times a call price <= S0, so
+    cutting it where the Poisson(lambda (1+k) T) tail mass is tol lowers
+    the base term by at most S0 tail_mass."""
+    params = _generic(law, lam_t / big_t)
+    c = Contract(s0=100.0, strike=strike, maturity=big_t)
+    full = price_approx(params, c, maturity_terms(params, big_t, tol=1e-13))
+    for tol in (1e-4, 1e-6):
+        res = price_approx(params, c, maturity_terms(params, big_t, tol=tol))
+        dropped = full.base_term - res.base_term
+        assert 0.0 <= dropped <= c.s0 * res.truncation.tail_mass
 
 
 def test_loguniform_at_lambda_t_point_three_prices():
@@ -281,11 +321,7 @@ def test_fourier_terms_match_convolution_route(variant, big_t):
     strikes = [80.0, 100.0, 125.0]
     for strike, res in price_smile(params, 100.0, strikes, big_t):
         c = Contract(s0=100.0, strike=strike, maturity=big_t)
-        terms = [(p_n, gn_term(n, params, c))
-                 for n, (p_n, *_) in enumerate(mt.terms)]
-        want = (math.fsum(p_n * g for p_n, (g, _, _) in terms),
-                mt.r0 * math.fsum(p_n * g2 for p_n, (_, g2, _) in terms),
-                mt.u0 * math.fsum(p_n * lg for p_n, (_, _, lg) in terms))
+        want = _paper_series(params, c, mt)
         got = (res.base_term, res.r0_term, res.u0_term)
         assert got == pytest.approx(want, rel=0, abs=1e-10)
 
@@ -307,6 +343,22 @@ def test_generic_degenerate_and_tiny_vol(variant):
                 assert all(math.isfinite(v) for v in
                            (res.price, res.base_term, res.r0_term,
                             res.u0_term))
+
+
+@pytest.mark.parametrize("variant", [Kou(p=0.4, eta1=10.0, eta2=5.0),
+                                     LogUniform(a=-0.3, b=0.2)])
+def test_generic_laws_build_no_term_inputs(series_calls, variant):
+    """A Kou or LogUniform maturity reports its Poisson(lambda T)
+    truncation, but builds no per-term inputs: no lognormal_shift call,
+    no vol or rate arrays."""
+    params = _generic(variant, 0.5)
+    out = price_smile(params, 100.0, [90.0, 100.0, 110.0], 2.0)
+    n_max = out[0][1].truncation.n_max
+    assert series_calls == {"truncate_series": 1, "poisson_pmf": n_max + 1,
+                            "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
+    assert out[0][1].truncation == jump_laws.truncate_series(0.5 * 2.0)
+    mt = maturity_terms(params, 2.0)
+    assert mt.vol is None and mt.rate is None
 
 
 def test_generic_smile_is_one_quadrature(monkeypatch):

@@ -85,6 +85,7 @@ def test_smile_builds_maturity_terms_once(series_calls):
     n_max = maturity_terms(params, 2.0).truncation.n_max
     assert n_max > 5
     assert counts == {"truncate_series": 1, "poisson_pmf": n_max + 1,
+                      "lognormal_shift": 1,
                       "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
 
 

@@ -143,6 +143,7 @@ def test_iv_analytic_builds_maturity_terms_once(capsys, series_calls):
         "--strikes", "90,100,110", "--maturity", "0.3", "--analytic"])
     assert code == 0
     assert series_calls["truncate_series"] == 1
+    assert series_calls["lognormal_shift"] == 1
 
 
 def test_smile_failed_rows_exit_3(capsys, monkeypatch):
@@ -263,6 +264,18 @@ def test_error_classes_map_to_exit_codes(capsys, monkeypatch):
         code, _, err = run_cli(capsys, argv)
         assert code == want
         assert str(exc) in err
+
+
+@pytest.mark.parametrize("argv", [["--max-ref-sets", "0"],
+                                  ["--max-ref-sets", "-5"],
+                                  ["--methods", "approximation,bogus"]])
+def test_bench_refuses_bad_input_before_timing(capsys, monkeypatch, argv):
+    def timed(*a, **kw):
+        raise AssertionError("a timing pass started")
+    monkeypatch.setattr(bench, "_price_pass", timed)
+    code, out, err = run_cli(capsys, ["bench", "--task", "1", *argv])
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
 
 
 def test_parse_strikes_forms():
