@@ -15,7 +15,8 @@ from .implied_vol import IvPoint, iv_atm_approx, iv_atm_display, iv_surface_appr
 from .jump_laws import (JumpLaw, Kou, LogNormal, LogUniform, SeriesTruncation,
                         compensator_k, convolution_density, jump_char_fn)
 from .mc_oracle import McConfig, mc_price, simulate_terminal
-from .reference_pricer import bates_char_fn, implied_vol_invert, price_reference
+from .reference_pricer import (bates_char_fn, implied_vol_invert, price_reference,
+                               price_reference_smile)
 
 __version__ = "0.1.0"
 
@@ -28,6 +29,7 @@ __all__ = [
     "compensator_k", "convolution_density", "implied_vol_invert",
     "iv_atm_approx", "iv_atm_display", "iv_surface_approx", "jump_char_fn",
     "maturity_terms", "mc_check", "mc_price", "price_approx",
-    "price_reference", "price_smile", "r0", "run_bench", "run_smile",
-    "sample_param_sets", "simulate_terminal", "u0", "__version__",
+    "price_reference", "price_reference_smile", "price_smile", "r0",
+    "run_bench", "run_smile", "sample_param_sets", "simulate_terminal", "u0",
+    "__version__",
 ]

@@ -264,14 +264,25 @@ def price_smile(params: ModelParams, s0: float, strikes, big_t: float,
     """
     if len(strikes) == 0:
         raise ParamError("strikes must be nonempty")
-    strikes = sorted(strikes)
     if mt is None:
         try:
             mt = maturity_terms(params, big_t)
         except PRICING_ERRORS as exc:
-            return [(strike, exc) for strike in strikes]
+            return [(strike, exc) for strike in sorted(strikes)]
     else:
         _check_terms(mt, params, big_t)
+    return pair_strikes(s0, strikes, big_t,
+                        lambda valid: _price_strikes(mt, s0, valid))
+
+
+def pair_strikes(s0: float, strikes, big_t: float, price) -> list:
+    """(strike, result | Exception) per strike, ascending strike.
+
+    A strike that is no valid Contract gets its own ParamError. The
+    valid strikes go to one call of price(valid strikes), which returns
+    a result per strike; its failure is paired with every valid strike.
+    """
+    strikes = sorted(strikes)
     results = []
     for strike in strikes:
         try:
@@ -284,7 +295,7 @@ def price_smile(params: ModelParams, s0: float, strikes, big_t: float,
     if valid:
         # one pass over every valid strike
         try:
-            priced = _price_strikes(mt, s0, [strikes[i] for i in valid])
+            priced = price([strikes[i] for i in valid])
         except PRICING_ERRORS as exc:
             priced = [exc] * len(valid)
         for i, res in zip(valid, priced):

@@ -25,7 +25,8 @@ from .errors import PRICING_ERRORS, ParamError
 from .heston_moments import HestonParams
 from .jump_laws import JumpLaw, Kou, LogNormal, LogUniform
 from .mc_oracle import McConfig, mc_price
-from .reference_pricer import implied_vol_invert, price_reference
+from .reference_pricer import (implied_vol_invert, price_reference,
+                               price_reference_smile)
 
 BATCH_S0 = 100.0
 STRIKE_GRID = (70.0, 80.0, 90.0, 95.0, 100.0, 105.0, 110.0, 120.0, 130.0, 150.0)
@@ -178,19 +179,26 @@ def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
               mt: MaturityTerms = None) -> SmileReport:
     """Price/IV rows for ascending strikes; failures keep their row.
 
-    mt: the maturity terms to price from, as in price_smile.
+    Each leg prices every strike in one call: price_smile from mt (the
+    maturity terms to price from, as in price_smile), and
+    price_reference_smile from one shared Fourier integral.
     """
     t0 = time.perf_counter()
+    strikes = [float(k) for k in strikes]
     rows = []
-    for strike, approx in price_smile(params, s0, [float(k) for k in strikes],
-                                      maturity, mt):
+    for (strike, approx), (_, ref) in zip(
+            price_smile(params, s0, strikes, maturity, mt),
+            price_reference_smile(params, s0, strikes, maturity)):
         contract = Contract(s0=s0, strike=strike, maturity=maturity)
         row = SmileRow(strike=strike, maturity=maturity)
         if isinstance(approx, Exception):
             row.fail("approx_price", approx)
         else:
             row.approx_price = approx.price
-        row.fill("ref_price", lambda: price_reference(params, contract))
+        if isinstance(ref, Exception):
+            row.fail("ref_price", ref)
+        else:
+            row.ref_price = ref
         if with_iv:
             row.fill_iv("approx_iv", row.approx_price, contract, params.r)
             row.fill_iv("ref_iv", row.ref_price, contract, params.r)
@@ -200,16 +208,24 @@ def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
                        timings={"wall_s": wall}, with_iv=with_iv)
 
 
-def _approx_prices(params: ModelParams, batch) -> list:
-    """Price or exception per contract of batch, one price_smile per
-    (s0, maturity) run of contracts."""
-    out = []
-    for (s0, big_t), row in itertools.groupby(
-            batch, key=lambda c: (c.s0, c.maturity)):
-        out += (res if isinstance(res, Exception) else res.price
-                for _, res in price_smile(params, s0,
-                                          [c.strike for c in row], big_t))
-    return out
+def _per_maturity(smile):
+    """smile(params, s0, strikes, T) -> [(strike, price | exception)]
+    lifted to a batch: one call per (s0, maturity) run of contracts,
+    whose strikes ascend."""
+    def prices(params: ModelParams, batch) -> list:
+        out = []
+        for (s0, big_t), row in itertools.groupby(
+                batch, key=lambda c: (c.s0, c.maturity)):
+            out += (res for _, res in smile(params, s0,
+                                            [c.strike for c in row], big_t))
+        return out
+    return prices
+
+
+def _approx_smile(params: ModelParams, s0: float, strikes, big_t: float) -> list:
+    """price_smile with each PriceResult reduced to its price."""
+    return [(k, res if isinstance(res, Exception) else res.price)
+            for k, res in price_smile(params, s0, strikes, big_t)]
 
 
 def _per_contract(price):
@@ -228,7 +244,9 @@ def _per_contract(price):
 def _method_fn(name: str):
     """(params, batch) -> one price or exception per contract."""
     if name == "approximation":
-        return _approx_prices
+        return _per_maturity(_approx_smile)
+    if name == "batched_one_integral":
+        return _per_maturity(price_reference_smile)
     if name == "one_integral":
         return _per_contract(
             lambda p, c: price_reference(p, c, method="one-integral"))

@@ -23,13 +23,14 @@ from scipy.special import ndtr
 from .errors import DomainError
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+SQRT_2 = math.sqrt(2.0)
 # below this y*sqrt(tau) the lognormal degenerates to a point mass
 DEGENERATE_EPS = 1e-12
 
 
 def norm_cdf(z: float) -> float:
     """Standard normal CDF via erfc; keeps full relative accuracy in the tails."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+    return 0.5 * math.erfc(-z / SQRT_2)
 
 
 def norm_pdf(z: float) -> float:
@@ -56,17 +57,25 @@ def check_nondegenerate(y: float, tau: float) -> float:
 def d_plus_minus(x: float, y: float, strike: float, r: float, tau: float):
     """Return (d+, d-). Requires a non-degenerate y*sqrt(tau)."""
     _check(y, strike, tau)
-    ysq = check_nondegenerate(y, tau)
+    return _d_pm(x, check_nondegenerate(y, tau), strike, r, tau)
+
+
+def _d_pm(x: float, ysq: float, strike: float, r: float, tau: float):
+    """(d+, d-) from ysq = y*sqrt(tau), unchecked."""
     m = x - math.log(strike) + r * tau
     return m / ysq + 0.5 * ysq, m / ysq - 0.5 * ysq
 
 
 def bs_price(x: float, y: float, strike: float, r: float, tau: float) -> float:
-    """European call value; degenerates to discounted intrinsic value."""
+    """European call value; degenerates to discounted intrinsic value.
+
+    Checks its arguments once: brentq's IV inversion calls it thousands
+    of times per smile."""
     _check(y, strike, tau)
-    if y * math.sqrt(tau) < DEGENERATE_EPS:
+    ysq = y * math.sqrt(tau)
+    if ysq < DEGENERATE_EPS:
         return max(math.exp(x) - strike * math.exp(-r * tau), 0.0)
-    dp, dm = d_plus_minus(x, y, strike, r, tau)
+    dp, dm = _d_pm(x, ysq, strike, r, tau)
     return math.exp(x) * norm_cdf(dp) - strike * math.exp(-r * tau) * norm_cdf(dm)
 
 

@@ -18,6 +18,14 @@ Two pricing routes:
 
 both over u in [0, inf) mapped to (0,1] via u = (1-s)/s with the shared
 adaptive Gauss-Kronrod engine.
+
+Only e^(iu kbar), kbar = ln(S0/K) + rT, depends on the strike in the
+one-integral form. price_reference_smile prices a maturity's strikes
+from one stacked integral: the characteristic function is evaluated
+once per node, every strike's integrand shares the adaptive node set,
+and each meets the tolerances of a lone integral. price_reference's
+one-integral route is its one-strike case, bit for bit. The
+two-integral route stays per contract, the fixed baseline.
 """
 from __future__ import annotations
 
@@ -27,7 +35,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import bs_kernel
-from .approx_pricer import Contract, ModelParams
+from .approx_pricer import Contract, ModelParams, pair_strikes
 from .errors import BracketError, ParamError
 from .jump_laws import jump_exponent
 from .quadrature import QuadratureConfig, integrate_semi_infinite
@@ -80,9 +88,11 @@ def bates_char_fn(u, params: ModelParams, big_t: float, x0: float = 0.0):
     return out if out.shape else complex(out)
 
 
-def _price_one_integral(params, contract, cfg):
-    s0, strike, big_t = contract.s0, contract.strike, contract.maturity
-    kbar = math.log(s0 / strike) + params.r * big_t
+def _price_one_integral(params, s0, strikes, big_t, cfg) -> list:
+    """One-integral call prices of valid strikes at one maturity, from
+    one stacked integral with a row per strike."""
+    # math.log, not np.log: the two may round differently
+    kbar = np.array([[math.log(s0 / k) + params.r * big_t] for k in strikes])
 
     def integrand(u):
         z = u - 0.5j
@@ -90,9 +100,28 @@ def _price_one_integral(params, contract, cfg):
         phi = bates_char_fn(z, params, big_t) * np.exp(-1j * z * params.r * big_t)
         return (np.exp(1j * u * kbar) * phi).real / (u * u + 0.25)
 
-    res = integrate_semi_infinite(integrand, cfg)
+    ints = integrate_semi_infinite(integrand, cfg).value.tolist()
     # prefactor e^{-rT} sqrt(F K) = sqrt(S0 K) e^{-rT/2}
-    return s0 - math.sqrt(s0 * strike) * math.exp(-0.5 * params.r * big_t) / math.pi * res.value
+    disc = math.exp(-0.5 * params.r * big_t)
+    return [s0 - math.sqrt(s0 * k) * disc / math.pi * v
+            for k, v in zip(strikes, ints)]
+
+
+def price_reference_smile(params: ModelParams, s0: float, strikes, big_t: float,
+                          cfg: QuadratureConfig = DEFAULT_REF_QUAD) -> list:
+    """One-integral call prices across strikes of one maturity.
+
+    Returns a list of (strike, price | Exception), ascending strike, as
+    approx_pricer.price_smile does. A strike that is no valid Contract
+    gets its own ParamError; the valid strikes share one stacked
+    integration, with a component per strike at cfg's tolerances, and
+    its failure is paired with every valid strike.
+    """
+    if len(strikes) == 0:
+        raise ParamError("strikes must be nonempty")
+    return pair_strikes(s0, strikes, big_t,
+                        lambda valid: _price_one_integral(params, s0, valid,
+                                                          big_t, cfg))
 
 
 def _in_money_probs(params, contract, cfg):
@@ -122,7 +151,8 @@ def price_reference(params: ModelParams, contract: Contract,
         raise ParamError(f"payoff must be call or put, got {payoff}")
     disc_k = contract.strike * math.exp(-params.r * contract.maturity)
     if method == "one-integral":
-        call = _price_one_integral(params, contract, cfg)
+        call = _price_one_integral(params, contract.s0, [contract.strike],
+                                   contract.maturity, cfg)[0]
         if payoff == "call":
             return call
         return call - contract.s0 + disc_k

@@ -1,10 +1,12 @@
 """Benchmark harness: sampling, smile reports, timing plumbing."""
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import svj.bench as bench
+import svj.reference_pricer as reference_pricer
 from conftest import make_params
 from svj.approx_pricer import Contract, maturity_terms, price_approx
 from svj.errors import ParamError, QuadratureError
@@ -100,12 +102,11 @@ def test_abs_error_recomputed_not_stored():
 def test_row_failure_sentinel(monkeypatch):
     params = make_params(nu=0.05, rho=-0.2)
 
-    def boom(p, c, *a, **kw):
-        if c.strike == 100.0:
-            raise QuadratureError("synthetic failure")
-        return 1.23
+    def boom(p, s0, strikes, big_t, *a, **kw):
+        return [(k, QuadratureError("synthetic failure") if k == 100.0 else 1.23)
+                for k in sorted(strikes)]
 
-    monkeypatch.setattr(bench, "price_reference", boom)
+    monkeypatch.setattr(bench, "price_reference_smile", boom)
     rep = bench.run_smile(params, 100.0, [90.0, 100.0, 110.0], 0.3)
     assert rep.n_failed == 1
     csv = rep.to_csv()
@@ -113,6 +114,42 @@ def test_row_failure_sentinel(monkeypatch):
     assert bad and "ERROR" in bad[0]
     good = [line for line in csv.split("\n") if line.startswith("90")]
     assert "ERROR" not in good[0]
+
+
+def test_shared_reference_failure_fails_every_ref_cell(monkeypatch):
+    """One failed Fourier integral fails the reference cell of every row;
+    the approximation leg keeps its prices."""
+    def boom(*a, **kw):
+        raise QuadratureError("synthetic failure")
+
+    monkeypatch.setattr(reference_pricer, "integrate_semi_infinite", boom)
+    params = make_params(nu=0.05, rho=-0.2)
+    rep = bench.run_smile(params, 100.0, [90.0, 100.0, 110.0], 0.3, with_iv=True)
+    assert rep.n_failed == len(rep.rows) == 3
+    for row in rep.rows:
+        assert math.isnan(row.ref_price) and math.isnan(row.ref_iv)
+        assert set(row.failures) == {"ref_price"}
+        assert row.error == "QuadratureError: synthetic failure"
+        assert math.isfinite(row.approx_price) and math.isfinite(row.approx_iv)
+
+
+def test_run_smile_runs_one_reference_integral(monkeypatch):
+    """The reference leg of a smile is one shared integration, however
+    many strikes it has."""
+    calls = []
+
+    def counted(f, cfg):
+        calls.append(cfg)
+        return integrate(f, cfg)
+
+    integrate = reference_pricer.integrate_semi_infinite
+    monkeypatch.setattr(reference_pricer, "integrate_semi_infinite", counted)
+    params = make_params(nu=0.3, rho=-0.5)
+    for strikes in ([100.0], list(bench.STRIKE_GRID), list(range(50, 200, 3))):
+        calls.clear()
+        rep = bench.run_smile(params, 100.0, strikes, 1.0, with_iv=True)
+        assert rep.n_failed == 0
+        assert calls == [reference_pricer.DEFAULT_REF_QUAD]
 
 
 def test_run_bench_tiny(monkeypatch):
@@ -163,6 +200,20 @@ def test_run_bench_subsamples_reference(monkeypatch):
     assert rep["methods"]["two_integral"]["extrapolated"]
     assert rep["methods"]["two_integral"]["timed_sets"] == 2
     assert not rep["methods"]["approximation"]["extrapolated"]
+
+
+def test_batched_one_integral_method(monkeypatch):
+    """Same prices as the per-contract one_integral method; not among
+    the default methods."""
+    monkeypatch.setitem(bench.TASK_SETS, 1, 2)
+    rep = bench.run_bench(bench.BenchTask(task_id=1, seed=3),
+                          methods=("one_integral", "batched_one_integral"))
+    m = rep["methods"]
+    assert m["batched_one_integral"]["failures"] == 0
+    assert m["batched_one_integral"]["checksum"] == pytest.approx(
+        m["one_integral"]["checksum"], rel=1e-12)
+    defaults = inspect.signature(bench.run_bench).parameters["methods"].default
+    assert "batched_one_integral" not in defaults
 
 
 def test_bench_task_validation():

@@ -15,7 +15,7 @@ import _frozen as fz
 from svj import bs_kernel
 from svj.bs_kernel import (bs_price, bs_vega, d_plus_minus, gamma2_bs,
                            gamma_bs, lambda_gamma_bs, norm_cdf)
-from svj.errors import ParamError
+from svj.errors import DomainError, ParamError
 
 
 def test_norm_cdf_frozen():
@@ -125,6 +125,43 @@ def test_vega_gamma_identity():
 def test_d_plus_minus_spread():
     d1, d2 = d_plus_minus(math.log(110.0), 0.25, 100.0, 0.01, 2.0)
     assert d1 - d2 == pytest.approx(0.25 * math.sqrt(2.0), rel=1e-13)
+
+
+def _bs_price_composed(x, y, k, r, t):
+    """bs_price composed from the checked d_plus_minus, as it was before
+    it checked its arguments once."""
+    if y * math.sqrt(t) < bs_kernel.DEGENERATE_EPS:
+        return max(math.exp(x) - k * math.exp(-r * t), 0.0)
+    dp, dm = d_plus_minus(x, y, k, r, t)
+    return math.exp(x) * norm_cdf(dp) - k * math.exp(-r * t) * norm_cdf(dm)
+
+
+def test_bs_price_is_the_composed_formula_bit_for_bit():
+    n_degenerate = 0
+    for x in np.log([50.0, 99.0, 100.0, 180.0]):
+        for y in (0.0, 1e-13, 1e-6, 0.05, 0.3, 1.5, 9.0):
+            for k in (40.0, 100.0, 101.0, 250.0):
+                for r in (0.0, 0.001, 0.07):
+                    for t in (0.0, 1e-9, 0.1, 1.0, 5.0):
+                        x = float(x)
+                        assert bs_price(x, y, k, r, t) == \
+                            _bs_price_composed(x, y, k, r, t)
+                        n_degenerate += y * math.sqrt(t) < bs_kernel.DEGENERATE_EPS
+    assert n_degenerate > 100
+
+
+@pytest.mark.parametrize("y, k, t, match", [
+    (-0.1, 100.0, 1.0, "volatility"), (math.nan, 100.0, 1.0, "volatility"),
+    (math.inf, 100.0, 1.0, "volatility"), (0.2, 0.0, 1.0, "strike"),
+    (0.2, -5.0, 1.0, "strike"), (0.2, math.inf, 1.0, "strike"),
+    (0.2, math.nan, 1.0, "strike"), (0.2, 100.0, -1.0, "time to expiry"),
+    (0.2, 100.0, math.nan, "time to expiry"), (0.2, 100.0, math.inf, "time to expiry"),
+])
+def test_bs_price_refuses_bad_arguments(y, k, t, match):
+    with pytest.raises(DomainError, match=match):
+        bs_price(0.0, y, k, 0.01, t)
+    with pytest.raises(DomainError, match=match):
+        d_plus_minus(0.0, y, k, 0.01, t)
 
 
 def test_array_variants_match_scalar():

@@ -147,10 +147,10 @@ def test_iv_analytic_builds_maturity_terms_once(capsys, series_calls):
 
 
 def test_smile_failed_rows_exit_3(capsys, monkeypatch):
-    def boom(*a, **kw):
-        raise QuadratureError("synthetic")
+    def boom(params, s0, strikes, big_t, *a, **kw):
+        return [(k, QuadratureError("synthetic")) for k in sorted(strikes)]
 
-    monkeypatch.setattr(bench, "price_reference", boom)
+    monkeypatch.setattr(bench, "price_reference_smile", boom)
     code, out, err = run_cli(capsys, [
         "smile", "--params", str(FOOTNOTE), "--nu", "0.05", "--rho", "-0.2",
         "--strikes", "100", "--maturity", "0.3"])

@@ -1,5 +1,6 @@
 """Fourier reference pricer and IV inversion."""
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 
 import _frozen as fz
 from conftest import make_params
-from svj import bs_kernel, heston_moments
+from svj import bs_kernel, heston_moments, reference_pricer
 from svj.approx_pricer import Contract, ModelParams, price_approx
-from svj.errors import BracketError, ParamError
+from svj.bench import MATURITY_GRID, STRIKE_GRID, sample_param_sets
+from svj.errors import BracketError, ParamError, QuadratureError
 from svj.heston_moments import HestonParams
 from svj.jump_laws import JumpLaw, Kou, LogNormal, LogUniform
 from svj.reference_pricer import (bates_char_fn, implied_vol_invert,
-                                  price_reference)
+                                  price_reference, price_reference_smile)
 
 ATM = Contract(s0=100.0, strike=100.0, maturity=0.3)
 
@@ -143,3 +145,74 @@ def test_bad_method_rejected():
         price_reference(make_params(nu=0.05, rho=-0.2), ATM, method="fft")
     with pytest.raises(ParamError):
         price_reference(make_params(nu=0.05, rho=-0.2), ATM, payoff="digital")
+
+
+REGIMES = ((0.05, -0.2), (0.05, -0.8), (0.5, -0.2), (0.5, -0.8))
+
+
+def _with_jumps(params, intensity, variant):
+    return dataclasses.replace(params, jumps=JumpLaw(intensity, variant))
+
+
+SMILE_CASES = {
+    **{f"footnote-nu{nu}-rho{rho}": [make_params(nu=nu, rho=rho)]
+       for nu, rho in REGIMES},
+    "sampled": sample_param_sets(20, 20240),
+    "kou": [_with_jumps(make_params(nu=0.3, rho=-0.6), 0.25,
+                        Kou(p=0.4, eta1=10.0, eta2=5.0))],
+    "loguniform": [_with_jumps(make_params(nu=0.3, rho=-0.6), 0.3,
+                               LogUniform(a=-0.3, b=0.2))],
+    "nu0": [make_params(nu=0.0, rho=-0.5, lam=0.2)],
+}
+
+
+@pytest.mark.parametrize("case", SMILE_CASES)
+def test_smile_matches_per_contract(case):
+    """One shared integral per maturity prices every strike of the grid
+    as its own integral does."""
+    for params in SMILE_CASES[case]:
+        for big_t in MATURITY_GRID:
+            got = price_reference_smile(params, 100.0, list(STRIKE_GRID), big_t)
+            assert [k for k, _ in got] == sorted(STRIKE_GRID)
+            for k, price in got:
+                want = price_reference(params, Contract(100.0, k, big_t))
+                assert abs(price - want) <= 1e-10, (case, big_t, k)
+
+
+def test_one_strike_smile_is_price_reference():
+    """price_reference's one-integral route is the one-strike case, bit
+    for bit, on 240 contracts."""
+    panel = [make_params(nu=nu, rho=rho) for nu, rho in REGIMES]
+    panel += [*SMILE_CASES["kou"], *SMILE_CASES["loguniform"],
+              *SMILE_CASES["nu0"]]
+    n = 0
+    for params in panel:
+        for big_t in MATURITY_GRID:
+            for k in (60.0, 90.0, 100.0, 130.0):
+                [(_, got)] = price_reference_smile(params, 100.0, [k], big_t)
+                assert got == price_reference(params, Contract(100.0, k, big_t))
+                n += 1
+    assert n >= 200
+
+
+def test_smile_pairs_failures(monkeypatch):
+    """An invalid strike fails alone; a failed shared integral fails
+    every valid strike; no strikes is refused."""
+    params = make_params(nu=0.3, rho=-0.5)
+    got = dict(price_reference_smile(params, 100.0, [110.0, -5.0, 90.0], 1.0))
+    assert list(got) == [-5.0, 90.0, 110.0]
+    assert isinstance(got[-5.0], ParamError)
+    assert got[90.0] == price_reference(params, Contract(100.0, 90.0, 1.0))
+    for k, res in price_reference_smile(params, 100.0, [100.0, 90.0], -1.0):
+        assert isinstance(res, ParamError)
+    with pytest.raises(ParamError):
+        price_reference_smile(params, 100.0, [], 1.0)
+
+    def boom(*a, **kw):
+        raise QuadratureError("synthetic failure")
+
+    monkeypatch.setattr(reference_pricer, "integrate_semi_infinite", boom)
+    got = price_reference_smile(params, 100.0, [90.0, 0.0, 110.0], 1.0)
+    assert [type(res) for _, res in got] == [ParamError, QuadratureError,
+                                              QuadratureError]
+    assert got[1][1] is got[2][1]
