@@ -5,6 +5,14 @@ is the median over `repeats` full passes, and pricing runs single-thread
 so method ratios compare algorithms rather than schedulers. Reference
 methods on the large tasks are timed on a leading subsample of the
 parameter sets and scaled up; such entries carry extrapolated=True.
+
+Shared machines change speed by up to 1.7x for seconds to minutes at a
+time, so the wall time of each parameter set is scaled to a reference
+pace: a fixed speed probe is timed just before the set, and the set's
+time is multiplied by PROBE_NOMINAL_S over the probe's time. The probe
+slows with the machine, so the scaled times of a short and a long task
+compare. At a steady pace the scaling is one factor for every method,
+so speedups are unchanged by it.
 """
 from __future__ import annotations
 
@@ -47,6 +55,12 @@ PARAM_RANGES = {
     "sigma_j": (0.05, 0.6),
 }
 BENCH_RATE = 0.001
+
+# speed probe: scalar math and small numpy expressions, like the work of
+# a pricing pass; PROBE_NOMINAL_S is its time at the fast pace of a
+# 2-CPU x86-64 VM, which alternates between ~118 and ~200 us
+_PROBE_X = np.linspace(-0.5, 0.5, 64)
+PROBE_NOMINAL_S = 120e-6
 
 # params-file spelling of the jump amplitude laws; a law's fields are
 # stored under the names of its dataclass fields
@@ -256,18 +270,36 @@ def _method_fn(name: str):
     raise ParamError(f"unknown method {name!r}")
 
 
+def speed_probe() -> float:
+    """Fixed work, no svj code, timed before each parameter set."""
+    s = 0.0
+    for i in range(20):
+        z = _PROBE_X + 0.01 * i
+        s += float(np.sum(np.exp(-z * z) / (1.0 + z * z)))
+        s += 0.5 * math.erfc(-z[i] / math.sqrt(2.0)) * math.exp(-0.01 * i)
+    return s
+
+
 def _price_pass(fn, param_sets, batch):
-    """One full pass; returns (wall seconds, price checksum, failures)."""
+    """One full pass; returns (wall seconds at the reference pace, price
+    checksum, failures)."""
     acc = []
     failures = 0
-    t0 = time.perf_counter()
+    wall = 0.0
+    clock = time.perf_counter
     for mp in param_sets:
-        for out in fn(mp, batch):
+        speed_probe()           # warms the caches the last set left cold
+        start = clock()
+        speed_probe()
+        probe = clock() - start
+        start = clock()
+        outs = fn(mp, batch)
+        wall += (clock() - start) * PROBE_NOMINAL_S / probe
+        for out in outs:
             if isinstance(out, Exception):
                 failures += 1
             else:
                 acc.append(out)
-    wall = time.perf_counter() - t0
     return wall, math.fsum(acc), failures
 
 

@@ -192,6 +192,31 @@ def test_approximation_method_prices_each_row_in_one_call(monkeypatch):
         if (c.maturity, c.strike) != failed)
 
 
+@pytest.mark.parametrize("pace", [1.0, 1.7])
+def test_price_pass_scales_each_set_by_the_probe(monkeypatch, pace):
+    """A machine slowed by pace slows probe and pricing alike; the pass
+    reports the same seconds at the reference pace."""
+    now = [0.0]
+
+    class FakeTime:
+        @staticmethod
+        def perf_counter():
+            return now[0]
+
+    def probe():
+        now[0] += pace * bench.PROBE_NOMINAL_S
+
+    def fn(params, batch):
+        now[0] += pace * 1e-3 * params
+        return [1.0] * len(batch)
+
+    monkeypatch.setattr(bench, "time", FakeTime)
+    monkeypatch.setattr(bench, "speed_probe", probe)
+    wall, checksum, failures = bench._price_pass(fn, [1, 2, 3], [0, 0])
+    assert wall == pytest.approx(6e-3, rel=1e-12)
+    assert checksum == 6.0 and failures == 0
+
+
 def test_run_bench_subsamples_reference(monkeypatch):
     monkeypatch.setitem(bench.TASK_SETS, 1, 4)
     rep = bench.run_bench(bench.BenchTask(task_id=1, seed=3),
