@@ -260,19 +260,16 @@ def price_smile(params: ModelParams, s0: float, strikes, big_t: float,
     Returns a list of (strike, PriceResult | Exception), ascending
     strike. A strike that is no valid Contract gets its own ParamError;
     a failure to build the terms (mt defaults to maturity_terms(params,
-    big_t)) is paired with every strike, and so is a failure of the pass.
+    big_t)) is paired with every valid strike, and so is a failure of
+    the pass.
     """
-    if len(strikes) == 0:
-        raise ParamError("strikes must be nonempty")
-    if mt is None:
-        try:
-            mt = maturity_terms(params, big_t)
-        except PRICING_ERRORS as exc:
-            return [(strike, exc) for strike in sorted(strikes)]
-    else:
+    if mt is not None:
         _check_terms(mt, params, big_t)
-    return pair_strikes(s0, strikes, big_t,
-                        lambda valid: _price_strikes(mt, s0, valid))
+
+    def price(valid):
+        terms = maturity_terms(params, big_t) if mt is None else mt
+        return _price_strikes(terms, s0, valid)
+    return pair_strikes(s0, strikes, big_t, price)
 
 
 def pair_strikes(s0: float, strikes, big_t: float, price) -> list:
@@ -282,6 +279,8 @@ def pair_strikes(s0: float, strikes, big_t: float, price) -> list:
     valid strikes go to one call of price(valid strikes), which returns
     a result per strike; its failure is paired with every valid strike.
     """
+    if len(strikes) == 0:
+        raise ParamError("strikes must be nonempty")
     strikes = sorted(strikes)
     results = []
     for strike in strikes:

@@ -5,14 +5,6 @@ is the median over `repeats` full passes, and pricing runs single-thread
 so method ratios compare algorithms rather than schedulers. Reference
 methods on the large tasks are timed on a leading subsample of the
 parameter sets and scaled up; such entries carry extrapolated=True.
-
-Shared machines change speed by up to 1.7x for seconds to minutes at a
-time, so the wall time of each parameter set is scaled to a reference
-pace: a fixed speed probe is timed just before the set, and the set's
-time is multiplied by PROBE_NOMINAL_S over the probe's time. The probe
-slows with the machine, so the scaled times of a short and a long task
-compare. At a steady pace the scaling is one factor for every method,
-so speedups are unchanged by it.
 """
 from __future__ import annotations
 
@@ -55,12 +47,6 @@ PARAM_RANGES = {
     "sigma_j": (0.05, 0.6),
 }
 BENCH_RATE = 0.001
-
-# speed probe: scalar math and small numpy expressions, like the work of
-# a pricing pass; PROBE_NOMINAL_S is its time at the fast pace of a
-# 2-CPU x86-64 VM, which alternates between ~118 and ~200 us
-_PROBE_X = np.linspace(-0.5, 0.5, 64)
-PROBE_NOMINAL_S = 120e-6
 
 # params-file spelling of the jump amplitude laws; a law's fields are
 # stored under the names of its dataclass fields
@@ -222,24 +208,16 @@ def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
                        timings={"wall_s": wall}, with_iv=with_iv)
 
 
-def _per_maturity(smile):
-    """smile(params, s0, strikes, T) -> [(strike, price | exception)]
-    lifted to a batch: one call per (s0, maturity) run of contracts,
-    whose strikes ascend."""
-    def prices(params: ModelParams, batch) -> list:
-        out = []
-        for (s0, big_t), row in itertools.groupby(
-                batch, key=lambda c: (c.s0, c.maturity)):
-            out += (res for _, res in smile(params, s0,
-                                            [c.strike for c in row], big_t))
-        return out
-    return prices
-
-
-def _approx_smile(params: ModelParams, s0: float, strikes, big_t: float) -> list:
-    """price_smile with each PriceResult reduced to its price."""
-    return [(k, res if isinstance(res, Exception) else res.price)
-            for k, res in price_smile(params, s0, strikes, big_t)]
+def _approx_prices(params: ModelParams, batch) -> list:
+    """Price or exception per contract of batch, one price_smile per
+    (s0, maturity) run of contracts."""
+    out = []
+    for (s0, big_t), row in itertools.groupby(
+            batch, key=lambda c: (c.s0, c.maturity)):
+        out += (res if isinstance(res, Exception) else res.price
+                for _, res in price_smile(params, s0,
+                                          [c.strike for c in row], big_t))
+    return out
 
 
 def _per_contract(price):
@@ -258,9 +236,7 @@ def _per_contract(price):
 def _method_fn(name: str):
     """(params, batch) -> one price or exception per contract."""
     if name == "approximation":
-        return _per_maturity(_approx_smile)
-    if name == "batched_one_integral":
-        return _per_maturity(price_reference_smile)
+        return _approx_prices
     if name == "one_integral":
         return _per_contract(
             lambda p, c: price_reference(p, c, method="one-integral"))
@@ -270,36 +246,18 @@ def _method_fn(name: str):
     raise ParamError(f"unknown method {name!r}")
 
 
-def speed_probe() -> float:
-    """Fixed work, no svj code, timed before each parameter set."""
-    s = 0.0
-    for i in range(20):
-        z = _PROBE_X + 0.01 * i
-        s += float(np.sum(np.exp(-z * z) / (1.0 + z * z)))
-        s += 0.5 * math.erfc(-z[i] / math.sqrt(2.0)) * math.exp(-0.01 * i)
-    return s
-
-
 def _price_pass(fn, param_sets, batch):
-    """One full pass; returns (wall seconds at the reference pace, price
-    checksum, failures)."""
+    """One full pass; returns (wall seconds, price checksum, failures)."""
     acc = []
     failures = 0
-    wall = 0.0
-    clock = time.perf_counter
+    t0 = time.perf_counter()
     for mp in param_sets:
-        speed_probe()           # warms the caches the last set left cold
-        start = clock()
-        speed_probe()
-        probe = clock() - start
-        start = clock()
-        outs = fn(mp, batch)
-        wall += (clock() - start) * PROBE_NOMINAL_S / probe
-        for out in outs:
+        for out in fn(mp, batch):
             if isinstance(out, Exception):
                 failures += 1
             else:
                 acc.append(out)
+    wall = time.perf_counter() - t0
     return wall, math.fsum(acc), failures
 
 

@@ -117,8 +117,6 @@ def price_reference_smile(params: ModelParams, s0: float, strikes, big_t: float,
     integration, with a component per strike at cfg's tolerances, and
     its failure is paired with every valid strike.
     """
-    if len(strikes) == 0:
-        raise ParamError("strikes must be nonempty")
     return pair_strikes(s0, strikes, big_t,
                         lambda valid: _price_one_integral(params, s0, valid,
                                                           big_t, cfg))

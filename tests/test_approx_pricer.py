@@ -75,10 +75,13 @@ def test_mismatched_maturity_terms_are_refused():
     (100.0, 5.0, SeriesTruncationError),  # lambda T = 500: over the series cap
     (0.05, 0.0, ParamError)])
 def test_smile_pairs_every_strike_with_a_terms_failure(lam, big_t, error):
+    """Every valid strike gets the terms failure; K=-5 keeps its own
+    Contract ParamError."""
     params = make_params(nu=0.05, rho=-0.2, lam=lam)
-    out = price_smile(params, 100.0, [110.0, 90.0, 100.0], big_t)
-    assert [k for k, _ in out] == [90.0, 100.0, 110.0]
-    assert all(isinstance(exc, error) for _, exc in out)
+    out = price_smile(params, 100.0, [110.0, 90.0, -5.0, 100.0], big_t)
+    assert [k for k, _ in out] == [-5.0, 90.0, 100.0, 110.0]
+    assert type(out[0][1]) is ParamError
+    assert all(isinstance(exc, error) for _, exc in out[1:])
 
 
 @pytest.mark.parametrize("big_t, error", [(0.3, None), (1e-26, DomainError)])

@@ -1,5 +1,4 @@
 """Benchmark harness: sampling, smile reports, timing plumbing."""
-import inspect
 import math
 
 import numpy as np
@@ -192,31 +191,6 @@ def test_approximation_method_prices_each_row_in_one_call(monkeypatch):
         if (c.maturity, c.strike) != failed)
 
 
-@pytest.mark.parametrize("pace", [1.0, 1.7])
-def test_price_pass_scales_each_set_by_the_probe(monkeypatch, pace):
-    """A machine slowed by pace slows probe and pricing alike; the pass
-    reports the same seconds at the reference pace."""
-    now = [0.0]
-
-    class FakeTime:
-        @staticmethod
-        def perf_counter():
-            return now[0]
-
-    def probe():
-        now[0] += pace * bench.PROBE_NOMINAL_S
-
-    def fn(params, batch):
-        now[0] += pace * 1e-3 * params
-        return [1.0] * len(batch)
-
-    monkeypatch.setattr(bench, "time", FakeTime)
-    monkeypatch.setattr(bench, "speed_probe", probe)
-    wall, checksum, failures = bench._price_pass(fn, [1, 2, 3], [0, 0])
-    assert wall == pytest.approx(6e-3, rel=1e-12)
-    assert checksum == 6.0 and failures == 0
-
-
 def test_run_bench_subsamples_reference(monkeypatch):
     monkeypatch.setitem(bench.TASK_SETS, 1, 4)
     rep = bench.run_bench(bench.BenchTask(task_id=1, seed=3),
@@ -225,20 +199,6 @@ def test_run_bench_subsamples_reference(monkeypatch):
     assert rep["methods"]["two_integral"]["extrapolated"]
     assert rep["methods"]["two_integral"]["timed_sets"] == 2
     assert not rep["methods"]["approximation"]["extrapolated"]
-
-
-def test_batched_one_integral_method(monkeypatch):
-    """Same prices as the per-contract one_integral method; not among
-    the default methods."""
-    monkeypatch.setitem(bench.TASK_SETS, 1, 2)
-    rep = bench.run_bench(bench.BenchTask(task_id=1, seed=3),
-                          methods=("one_integral", "batched_one_integral"))
-    m = rep["methods"]
-    assert m["batched_one_integral"]["failures"] == 0
-    assert m["batched_one_integral"]["checksum"] == pytest.approx(
-        m["one_integral"]["checksum"], rel=1e-12)
-    defaults = inspect.signature(bench.run_bench).parameters["methods"].default
-    assert "batched_one_integral" not in defaults
 
 
 def test_bench_task_validation():
