@@ -8,6 +8,7 @@ parameter sets and scaled up; such entries carry extrapolated=True.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -247,18 +248,19 @@ def _method_fn(name: str):
 
 
 def _price_pass(fn, param_sets, batch):
-    """One full pass; returns (wall seconds, price checksum, failures)."""
+    """One full pass; returns (wall seconds, price checksum, failures),
+    failures counting the failed options by exception type name."""
     acc = []
-    failures = 0
+    failures = collections.Counter()
     t0 = time.perf_counter()
     for mp in param_sets:
         for out in fn(mp, batch):
             if isinstance(out, Exception):
-                failures += 1
+                failures[type(out).__name__] += 1
             else:
                 acc.append(out)
     wall = time.perf_counter() - t0
-    return wall, math.fsum(acc), failures
+    return wall, math.fsum(acc), dict(failures)
 
 
 def _time_method(fn, param_sets, batch, repeats: int, max_sets: int):

@@ -33,10 +33,6 @@ def norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / SQRT_2)
 
 
-def norm_pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) / SQRT_2PI
-
-
 def _check(y: float, strike: float, tau: float) -> None:
     if not (strike > 0.0 and math.isfinite(strike)):
         raise DomainError(f"strike must be positive and finite, got {strike}")
@@ -57,26 +53,39 @@ def check_nondegenerate(y: float, tau: float) -> float:
 def d_plus_minus(x: float, y: float, strike: float, r: float, tau: float):
     """Return (d+, d-). Requires a non-degenerate y*sqrt(tau)."""
     _check(y, strike, tau)
-    return _d_pm(x, check_nondegenerate(y, tau), strike, r, tau)
-
-
-def _d_pm(x: float, ysq: float, strike: float, r: float, tau: float):
-    """(d+, d-) from ysq = y*sqrt(tau), unchecked."""
+    ysq = check_nondegenerate(y, tau)
     m = x - math.log(strike) + r * tau
     return m / ysq + 0.5 * ysq, m / ysq - 0.5 * ysq
 
 
-def bs_price(x: float, y: float, strike: float, r: float, tau: float) -> float:
-    """European call value; degenerates to discounted intrinsic value.
+def strike_constants(x: float, strike: float, r: float, tau: float) -> tuple:
+    """(e^x, x - ln K + r tau, K e^(-r tau), sqrt(tau)): what
+    price_vega needs of a contract, computed once per contract."""
+    return (math.exp(x), x - math.log(strike) + r * tau,
+            strike * math.exp(-r * tau), math.sqrt(tau))
 
-    Checks its arguments once: brentq's IV inversion calls it thousands
-    of times per smile."""
-    _check(y, strike, tau)
-    ysq = y * math.sqrt(tau)
+
+def price_vega(ex: float, m: float, disc_k: float, sqrt_tau: float,
+               y: float) -> tuple:
+    """(call value, dBS/dy) from shared d+-, unchecked: the one scalar
+    Black-Scholes formula. The contract enters as strike_constants.
+
+    A degenerate y sqrt(tau) gives the discounted intrinsic value and a
+    zero vega."""
+    ysq = y * sqrt_tau
     if ysq < DEGENERATE_EPS:
-        return max(math.exp(x) - strike * math.exp(-r * tau), 0.0)
-    dp, dm = _d_pm(x, ysq, strike, r, tau)
-    return math.exp(x) * norm_cdf(dp) - strike * math.exp(-r * tau) * norm_cdf(dm)
+        return max(ex - disc_k, 0.0), 0.0
+    mr = m / ysq
+    dp = mr + 0.5 * ysq
+    dm = mr - 0.5 * ysq
+    price = ex * norm_cdf(dp) - disc_k * norm_cdf(dm)
+    return price, ex * (math.exp(-0.5 * dp * dp) / SQRT_2PI) * sqrt_tau
+
+
+def bs_price(x: float, y: float, strike: float, r: float, tau: float) -> float:
+    """European call value; degenerates to discounted intrinsic value."""
+    _check(y, strike, tau)
+    return price_vega(*strike_constants(x, strike, r, tau), y)[0]
 
 
 def gamma_bs(x: float, y: float, strike: float, r: float, tau: float) -> float:
@@ -101,9 +110,10 @@ def gamma2_bs(x: float, y: float, strike: float, r: float, tau: float) -> float:
 
 
 def bs_vega(x: float, y: float, strike: float, r: float, tau: float) -> float:
-    """dBS/dy = e^x phi(d+) sqrt(tau)."""
-    dp, _ = d_plus_minus(x, y, strike, r, tau)
-    return math.exp(x) * norm_pdf(dp) * math.sqrt(tau)
+    """dBS/dy = e^x phi(d+) sqrt(tau). Requires a non-degenerate y*sqrt(tau)."""
+    _check(y, strike, tau)
+    check_nondegenerate(y, tau)
+    return price_vega(*strike_constants(x, strike, r, tau), y)[1]
 
 
 # Array kernels: the same formulas with numpy semantics, broadcasting over
@@ -111,7 +121,7 @@ def bs_vega(x: float, y: float, strike: float, r: float, tau: float) -> float:
 # or a maturity's series terms (y, r) against its strikes in the
 # lognormal strike pass. They have no degenerate branch and no input
 # checks: the strike pass runs check_nondegenerate once per maturity. The
-# scalar kernels above stay for callers with one float (the brentq IV
+# scalar kernels above stay for callers with one float (the Newton IV
 # inversion), where a numpy call costs several times a math call.
 
 def _d_arr(x, y, strike, r, tau) -> tuple:

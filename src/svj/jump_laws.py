@@ -29,6 +29,7 @@ density cancels for n >= 9, so that check holds only at small lambda T.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
@@ -131,6 +132,7 @@ def poisson_pmf(n: int, lambda_t: float) -> float:
 
 DEFAULT_SERIES_TOL = 1e-12
 N_MAX_CAP = 200
+_EPS = sys.float_info.epsilon
 
 
 def truncate_series(lambda_t: float, tol: float = DEFAULT_SERIES_TOL,
@@ -138,13 +140,23 @@ def truncate_series(lambda_t: float, tol: float = DEFAULT_SERIES_TOL,
     """Smallest n_max whose Poisson tail mass is <= tol.
 
     The pmf values summed on the way are returned as the series weights,
-    so a pricer never evaluates them a second time.
+    so a pricer never evaluates them a second time. The tail at n is
+    1 - math.fsum of the weights so far. 1 minus a running float sum
+    screens it in O(1) per term, as the two differ by at most (n + 3)
+    half-ulps of 1 (n roundings of the running sum, one of fsum, one of
+    each subtraction). Only an n whose screened tail is within (n + 3)
+    ulps of tol pays for the O(n) fsum, so n_max, the tail and the
+    weights are those of an fsum at every n.
     """
     if not 0.0 < tol < 1.0:
         raise ParamError(f"tol must be in (0, 1), got {tol}")
     pmf = []
+    running = 0.0
     for n in range(cap + 1):
         pmf.append(poisson_pmf(n, lambda_t))
+        running += pmf[-1]
+        if 1.0 - running > tol + (n + 3) * _EPS:
+            continue
         tail = 1.0 - math.fsum(pmf)
         if tail <= tol:
             return SeriesTruncation(n_max=n, tail_mass=max(0.0, tail),

@@ -26,17 +26,23 @@ once per node, every strike's integrand shares the adaptive node set,
 and each meets the tolerances of a lone integral. price_reference's
 one-integral route is its one-strike case, bit for bit. The
 two-integral route stays per contract, the fixed baseline.
+
+implied_vol_invert inverts a call price by safeguarded Newton: a
+Corrado-Miller (1996) start, then Newton steps on ln BS(y) from one
+fused price-and-vega call per step (bs_kernel.price_vega, with the
+strike-only constants computed once), bisecting inside the vol bracket
+whenever a step would leave it. The step count is capped by
+IV_MAX_ITER.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import bs_kernel
 from .approx_pricer import Contract, ModelParams, pair_strikes
-from .errors import BracketError, ParamError
+from .errors import BracketError, NumericalError, ParamError
 from .jump_laws import jump_exponent
 from .quadrature import QuadratureConfig, integrate_semi_infinite
 
@@ -163,13 +169,37 @@ def price_reference(params: ModelParams, contract: Contract,
 
 
 IV_BRACKET = (1e-6, 10.0)
+# Newton steps and bisections per inversion. A well-posed price takes a
+# handful of Newton steps; 54 bisections alone shrink IV_BRACKET below
+# the 1e-15 stopping step.
+IV_MAX_ITER = 100
+
+
+def _corrado_miller(price: float, s0: float, disc_k: float,
+                    sqrt_tau: float) -> float:
+    """Corrado & Miller's (1996) closed-form IV estimate, clipped to
+    [1e-3, 5]; a negative radicand is taken as 0."""
+    half_gap = 0.5 * (s0 - disc_k)
+    a = price - half_gap
+    root = math.sqrt(max(a * a - 4.0 * half_gap * half_gap / math.pi, 0.0))
+    y = bs_kernel.SQRT_2PI / (s0 + disc_k) * (a + root) / sqrt_tau
+    return min(max(y, 1e-3), 5.0)
 
 
 def implied_vol_invert(price: float, contract: Contract, r: float) -> float:
-    """Black-Scholes IV of a call price by bracketed root-finding.
+    """Black-Scholes IV of a call price by safeguarded Newton.
+
+    Starts from Corrado and Miller's estimate, clipped to [1e-3, 5].
+    Each step is one bs_kernel.price_vega call: a Newton step on
+    ln(BS(y) / price), whose root is BS's, and the sign of BS(y) - price
+    narrows the bracket [lo, hi] = IV_BRACKET. A step that leaves the
+    bracket, or a value or vega that underflows to 0, is replaced by
+    bisection. Stops when a step moves y by <= 1e-15 max(1, y) or BS(y)
+    equals the price.
 
     Raises BracketError when the price sits outside the open
-    no-arbitrage interval (intrinsic, spot) or outside the vol bracket.
+    no-arbitrage interval (intrinsic, spot) or outside the vol bracket,
+    and NumericalError after IV_MAX_ITER steps.
     """
     s0, strike, tau = contract.s0, contract.strike, contract.maturity
     x = math.log(s0)
@@ -179,12 +209,46 @@ def implied_vol_invert(price: float, contract: Contract, r: float) -> float:
             f"price {price} outside the open no-arbitrage interval "
             f"({intrinsic}, {s0})")
     lo, hi = IV_BRACKET
-
-    def f(y):
-        return bs_kernel.bs_price(x, y, strike, r, tau) - price
-
-    f_lo, f_hi = f(lo), f(hi)
+    # the bracket ends are priced as bs_price prices them, bit for bit
+    price_vega = bs_kernel.price_vega
+    ends = bs_kernel.strike_constants(x, strike, r, tau)
+    f_lo = price_vega(*ends, lo)[0] - price
+    f_hi = price_vega(*ends, hi)[0] - price
     if f_lo > 0.0 or f_hi < 0.0:
         raise BracketError(
             f"no implied vol in [{lo}, {hi}] for price {price}")
-    return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    # The steps price at S0 itself and at ln(S0/K) + r tau, which rounds
+    # once where ln S0 - ln K cancels near the money: their root is
+    # closer to the exact Black-Scholes root.
+    _, _, disc_k, sqrt_tau = ends
+    m = math.log(s0 / strike) + r * tau
+    y = _corrado_miller(price, s0, disc_k, sqrt_tau)
+    for _ in range(IV_MAX_ITER):
+        value, vega = price_vega(s0, m, disc_k, sqrt_tau, y)
+        fy = value - price
+        if fy == 0.0:
+            return y
+        if fy < 0.0:
+            lo = y
+        else:
+            hi = y
+        tol = 1e-15 * max(1.0, y)
+        y_new = math.inf  # bisect unless a Newton step is taken
+        if value > 0.0 and vega > 0.0:
+            # Newton on ln(value / price): far out of the money the value
+            # is exp(-a / y^2)-like, and steps on the value itself crawl
+            g = (math.log1p(fy / price) if 2.0 * fy > -price
+                 else math.log(value) - math.log(price))
+            y_new = y - g * value / vega
+        if not (lo < y_new < hi or abs(y_new - y) <= tol):
+            y_new = 0.5 * (lo + hi)
+        if abs(y_new - y) <= tol:
+            return y_new
+        y = y_new
+    raise NumericalError(
+        f"implied vol of price {price} not converged after {IV_MAX_ITER} "
+        f"steps (bracket [{lo}, {hi}])")

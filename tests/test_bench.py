@@ -157,7 +157,7 @@ def test_run_bench_tiny(monkeypatch):
                           methods=("approximation", "two_integral"))
     assert rep["n_options"] == 200
     m = rep["methods"]
-    assert m["approximation"]["failures"] == 0
+    assert m["approximation"]["failures"] == {}
     assert not m["approximation"]["extrapolated"]
     assert rep["speedup_vs_two_integral"]["approximation"] > 1.0
     # identical draws across methods: checksums must be close
@@ -184,7 +184,7 @@ def test_approximation_method_prices_each_row_in_one_call(monkeypatch):
     _, checksum, failures = bench._price_pass(
         bench._method_fn("approximation"), sets, batch)
     assert calls == [len(bench.STRIKE_GRID)] * (2 * len(bench.MATURITY_GRID))
-    assert failures == 2
+    assert failures == {"QuadratureError": 2}
     failed = (1.0, sorted(bench.STRIKE_GRID)[2])
     assert checksum == math.fsum(
         price_approx(mp, c).price for mp in sets for c in batch

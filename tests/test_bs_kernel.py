@@ -150,6 +150,33 @@ def test_bs_price_is_the_composed_formula_bit_for_bit():
     assert n_degenerate > 100
 
 
+def test_bs_vega_is_the_composed_formula_bit_for_bit():
+    """bs_vega, now a wrapper of price_vega, rounds as e^x phi(d+) sqrt(t)
+    composed from d_plus_minus did."""
+    for x in np.log([50.0, 100.0, 180.0]):
+        for y in (1e-6, 0.05, 0.3, 1.5, 9.0):
+            for k in (40.0, 100.0, 250.0):
+                for r in (0.0, 0.07):
+                    for t in (1e-9, 0.1, 1.0, 5.0):
+                        x = float(x)
+                        dp, _ = d_plus_minus(x, y, k, r, t)
+                        want = (math.exp(x) * (math.exp(-0.5 * dp * dp)
+                                               / bs_kernel.SQRT_2PI)
+                                * math.sqrt(t))
+                        assert bs_vega(x, y, k, r, t) == want
+
+
+def test_price_vega_degenerate_branch():
+    """A point-mass lognormal prices at discounted intrinsic value with a
+    zero vega; bs_vega refuses it."""
+    x = math.log(100.0)
+    consts = bs_kernel.strike_constants(x, 90.0, 0.05, 1.0)
+    assert bs_kernel.price_vega(*consts, 0.0) == (
+        max(math.exp(x) - 90.0 * math.exp(-0.05), 0.0), 0.0)
+    with pytest.raises(DomainError, match="degenerate"):
+        bs_vega(x, 0.0, 90.0, 0.05, 1.0)
+
+
 @pytest.mark.parametrize("y, k, t, match", [
     (-0.1, 100.0, 1.0, "volatility"), (math.nan, 100.0, 1.0, "volatility"),
     (math.inf, 100.0, 1.0, "volatility"), (0.2, 0.0, 1.0, "strike"),

@@ -8,7 +8,8 @@ from scipy import integrate, stats
 import _frozen as fz
 from svj import bs_kernel
 from svj.errors import ParamError, SeriesTruncationError
-from svj.jump_laws import (JumpLaw, Kou, LogNormal, LogUniform, compensator_k,
+from svj.jump_laws import (N_MAX_CAP, JumpLaw, Kou, LogNormal, LogUniform,
+                           SeriesTruncation, compensator_k,
                            convolution_density, gn_generic, jump_char_fn,
                            jump_support, lognormal_shift, poisson_pmf,
                            truncate_series)
@@ -62,6 +63,53 @@ def test_truncation_weights_are_the_pmf():
 def test_truncation_cap_raises():
     with pytest.raises(SeriesTruncationError):
         truncate_series(500.0, tol=1e-12)
+
+
+def _truncate_series_by_prefix_sums(lambda_t, tol=1e-12, cap=N_MAX_CAP):
+    """truncate_series's definition, O(n^2): 1 - fsum over the whole
+    prefix at each n."""
+    pmf = []
+    for n in range(cap + 1):
+        pmf.append(poisson_pmf(n, lambda_t))
+        tail = 1.0 - math.fsum(pmf)
+        if tail <= tol:
+            return SeriesTruncation(n_max=n, tail_mass=max(0.0, tail),
+                                    tolerance=tol, weights=tuple(pmf))
+    raise SeriesTruncationError(f"cap {cap} reached")
+
+
+def _truncation_or_error(truncate, lambda_t, tol):
+    try:
+        return truncate(lambda_t, tol)
+    except SeriesTruncationError:
+        return SeriesTruncationError
+
+
+def test_truncation_is_its_prefix_sum_definition_bit_for_bit():
+    """The screened running sum gives every tail, n_max and weight the
+    O(n^2) definition gives, over lambda_T up to the cap, at tolerances
+    from 0.5 down to a few ulps (where the screen passes every n to
+    fsum), and on both sides of the lambda_T where SeriesTruncationError
+    starts."""
+    for tol in (0.5, 1e-6, 1e-9, 1e-12, 1e-15):
+        for lam_t in np.linspace(0.0, 150.0, 301):
+            lam_t = float(lam_t)
+            assert (_truncation_or_error(truncate_series, lam_t, tol)
+                    == _truncation_or_error(_truncate_series_by_prefix_sums,
+                                            lam_t, tol))
+    # bisect the definition for the first lambda_T it refuses at 1e-12
+    ok, refused = 100.0, 150.0
+    while math.nextafter(ok, refused) != refused:
+        mid = 0.5 * (ok + refused)
+        if _truncation_or_error(_truncate_series_by_prefix_sums, mid,
+                                1e-12) is SeriesTruncationError:
+            refused = mid
+        else:
+            ok = mid
+    assert truncate_series(ok) == _truncate_series_by_prefix_sums(ok)
+    assert truncate_series(ok).n_max == N_MAX_CAP
+    with pytest.raises(SeriesTruncationError):
+        truncate_series(refused)
 
 
 def test_char_fn_frozen():

@@ -2,18 +2,21 @@
 import cmath
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import _frozen as fz
 from conftest import make_params
 from svj import bs_kernel, heston_moments, reference_pricer
 from svj.approx_pricer import Contract, ModelParams, price_approx
 from svj.bench import MATURITY_GRID, STRIKE_GRID, sample_param_sets
-from svj.errors import BracketError, ParamError, QuadratureError
+from svj.errors import (BracketError, NumericalError, ParamError,
+                        QuadratureError)
 from svj.heston_moments import HestonParams
 from svj.jump_laws import JumpLaw, Kou, LogNormal, LogUniform
 from svj.reference_pricer import (bates_char_fn, implied_vol_invert,
@@ -138,6 +141,117 @@ def test_iv_inversion_rejects_out_of_range():
         implied_vol_invert(intrinsic * 0.99, c, 0.01)
     with pytest.raises(BracketError):
         implied_vol_invert(100.0, c, 0.01)
+
+
+def _brentq_iv(price, contract, r):
+    """The oracle: brentq on bs_price over IV_BRACKET, behind the same
+    BracketError checks, as implied_vol_invert inverted before Newton."""
+    s0, k, tau = contract.s0, contract.strike, contract.maturity
+    x = math.log(s0)
+    if not max(s0 - k * math.exp(-r * tau), 0.0) < price < s0:
+        raise BracketError("outside the open no-arbitrage interval")
+    lo, hi = reference_pricer.IV_BRACKET
+
+    def f(y):
+        return bs_kernel.bs_price(x, y, k, r, tau) - price
+
+    if f(lo) > 0.0 or f(hi) < 0.0:
+        raise BracketError("outside the vol bracket")
+    return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+
+
+def _iv_resolution(x, y, k, r, t):
+    """How closely the float price of a call pins its IV at y: the
+    price's rounding error over the vega.
+
+    The rounding bound is eps (1 + d+^2) times the two terms of the call
+    formula (a relative error eps in d+- moves N(d) by about eps d^2 in
+    relative terms in the tails), plus a subnormal spacing of each."""
+    dp, dm = bs_kernel.d_plus_minus(x, y, k, r, t)
+    terms = (math.exp(x) * bs_kernel.norm_cdf(dp)
+             + k * math.exp(-r * t) * bs_kernel.norm_cdf(dm))
+    rounding = (sys.float_info.epsilon * (1.0 + dp * dp) * terms
+                + (math.exp(x) + k) * 5e-324)
+    vega = bs_kernel.bs_vega(x, y, k, r, t)
+    return rounding / vega if vega > 0.0 else math.inf
+
+
+IV_SWEEP = [(float(k), float(t), float(y), r)
+            for k in np.geomspace(50.0, 200.0, 13)
+            for t in np.geomspace(0.01, 5.0, 12)
+            for y in np.geomspace(0.01, 3.0, 13) for r in (0.0, 0.05)]
+
+
+def test_newton_iv_matches_brentq_over_sweep():
+    """BracketError on exactly brentq's inputs. Elsewhere the IVs agree
+    to 1e-12, or to 16 resolutions (_iv_resolution) where the float
+    price pins the IV less closely than 1e-12/16: deep in the money,
+    where the time value is a few ulps of the price, and at subnormal
+    prices. Deep out of the money and short-dated cells with a vega
+    under 1e-6 are among those held to 1e-12."""
+    x = math.log(100.0)
+    n_errors = n_tight = n_tiny_vega = 0
+    for k, t, y, r in IV_SWEEP:
+        c = Contract(s0=100.0, strike=k, maturity=t)
+        price = bs_kernel.bs_price(x, y, k, r, t)
+        try:
+            want = _brentq_iv(price, c, r)
+        except BracketError:
+            with pytest.raises(BracketError):
+                implied_vol_invert(price, c, r)
+            n_errors += 1
+            continue
+        got = implied_vol_invert(price, c, r)
+        resolution = _iv_resolution(x, want, k, r, t)
+        assert abs(got - want) <= max(1e-12, 16.0 * resolution), (k, t, y, r)
+        if 16.0 * resolution <= 1e-12:
+            n_tight += 1
+            n_tiny_vega += bs_kernel.bs_vega(x, want, k, r, t) < 1e-6
+    assert n_errors >= 100
+    assert n_tight >= len(IV_SWEEP) // 2
+    assert n_tiny_vega >= 100
+
+
+def test_newton_iv_bisects_when_a_step_leaves_the_bracket(monkeypatch):
+    """Far out of the money a Newton step leaves the bracket. Replaying
+    the bracket from the recorded evaluations shows the bisection taken
+    instead, and the IV still agrees with brentq's."""
+    c = Contract(s0=100.0, strike=200.0, maturity=0.01)
+    price = bs_kernel.bs_price(math.log(100.0), 1.0, 200.0, 0.0, 0.01)
+    calls = []
+
+    def recorded(*args):
+        out = price_vega(*args)
+        calls.append((args[-1], out[0]))
+        return out
+
+    price_vega = bs_kernel.price_vega
+    monkeypatch.setattr(bs_kernel, "price_vega", recorded)
+    got = implied_vol_invert(price, c, 0.0)
+    # the first two calls price the bracket ends
+    lo, hi = reference_pricer.IV_BRACKET
+    bisections = 0
+    for (y, value), (y_next, _) in zip(calls[2:], calls[3:]):
+        if value < price:
+            lo = y
+        else:
+            hi = y
+        bisections += y_next == 0.5 * (lo + hi)
+    assert bisections >= 1
+    assert len(calls) <= 2 + reference_pricer.IV_MAX_ITER
+    assert abs(got - _brentq_iv(price, c, 0.0)) <= 1e-12
+
+
+def test_newton_iv_step_cap_raises(monkeypatch):
+    """A price that needs more steps than IV_MAX_ITER allows raises a
+    NumericalError that is no BracketError."""
+    c = Contract(s0=100.0, strike=150.0, maturity=0.5)
+    price = bs_kernel.bs_price(math.log(100.0), 0.3, 150.0, 0.01, 0.5)
+    assert implied_vol_invert(price, c, 0.01) == pytest.approx(0.3, abs=1e-12)
+    monkeypatch.setattr(reference_pricer, "IV_MAX_ITER", 2)
+    with pytest.raises(NumericalError, match="not converged") as err:
+        implied_vol_invert(price, c, 0.01)
+    assert not isinstance(err.value, BracketError)
 
 
 def test_bad_method_rejected():
