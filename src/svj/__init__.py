@@ -13,7 +13,7 @@ from .errors import (BracketError, DomainError, NumericalError, ParamError,
 from .heston_moments import HestonParams, avg_expected_variance_v0, r0, u0
 from .implied_vol import IvPoint, iv_atm_approx, iv_atm_display, iv_surface_approx
 from .jump_laws import (JumpLaw, Kou, LogNormal, LogUniform, SeriesTruncation,
-                        compensator_k, convolution_density, jump_char_fn)
+                        compensator_k, jump_char_fn)
 from .mc_oracle import McConfig, mc_price, simulate_terminal
 from .reference_pricer import (bates_char_fn, implied_vol_invert, price_reference,
                                price_reference_smile)
@@ -26,7 +26,7 @@ __all__ = [
     "McConfig", "ModelParams", "NumericalError", "ParamError", "PriceResult",
     "QuadratureError", "SeriesTruncation", "SeriesTruncationError",
     "SmileReport", "avg_expected_variance_v0", "bates_char_fn",
-    "compensator_k", "convolution_density", "implied_vol_invert",
+    "compensator_k", "implied_vol_invert",
     "iv_atm_approx", "iv_atm_display", "iv_surface_approx", "jump_char_fn",
     "maturity_terms", "mc_check", "mc_price", "price_approx",
     "price_reference", "price_reference_smile", "price_smile", "r0",

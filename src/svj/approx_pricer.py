@@ -143,11 +143,11 @@ def _price_strikes(mt: MaturityTerms, s0: float, strikes) -> list:
     if mt.vol is not None:
         # rows: strikes, columns: terms; one degenerate check for all terms
         bs_kernel.check_nondegenerate(float(mt.vol.min()), big_t)
-        kernels = bs_kernel.pricer_kernels_arr(
+        bs, _, g2, lg = bs_kernel.pricer_kernels_arr(
             math.log(s0), mt.vol, np.array(strikes, dtype=float)[:, None],
             mt.rate, big_t)
         w = np.array(mt.truncation.weights)
-        g, g2, lg = ((w * k).tolist() for k in kernels)
+        g, g2, lg = ((w * k).tolist() for k in (bs, g2, lg))
         return [_compose(mt, *parts) for parts in zip(g, g2, lg)]
     bs_kernel.check_nondegenerate(mt.v0, big_t)
     return [_compose(mt, *parts) for parts in _lewis_sums(mt, s0, strikes)]
@@ -273,7 +273,7 @@ def price_smile(params: ModelParams, s0: float, strikes, big_t: float,
 
 
 def pair_strikes(s0: float, strikes, big_t: float, price) -> list:
-    """(strike, result | Exception) per strike, ascending strike.
+    """(strike, result | Exception) per strike, ascending, NaN last.
 
     A strike that is no valid Contract gets its own ParamError. The
     valid strikes go to one call of price(valid strikes), which returns
@@ -281,7 +281,8 @@ def pair_strikes(s0: float, strikes, big_t: float, price) -> list:
     """
     if len(strikes) == 0:
         raise ParamError("strikes must be nonempty")
-    strikes = sorted(strikes)
+    # k != k for NaN alone; sorted() would leave a NaN where it stands
+    strikes = sorted(strikes, key=lambda k: (k != k, k))
     results = []
     for strike in strikes:
         try:

@@ -74,8 +74,9 @@ def option_batch(s0: float = BATCH_S0) -> tuple:
                  for t in MATURITY_GRID for k in STRIKE_GRID)
 
 
-def sample_param_sets(n: int, seed: int, r: float = BENCH_RATE) -> list:
-    """Uniform draws over PARAM_RANGES, rejecting Feller violations.
+def sample_param_sets(n: int, seed: int) -> list:
+    """Uniform draws over PARAM_RANGES at r = BENCH_RATE, rejecting
+    Feller violations.
 
     Draw order is fixed (range-dict order, one set at a time, full redraw
     on rejection) so a seed pins the output exactly.
@@ -86,13 +87,13 @@ def sample_param_sets(n: int, seed: int, r: float = BENCH_RATE) -> list:
     out = []
     while len(out) < n:
         d = {key: rng.uniform(lo, hi) for key, (lo, hi) in PARAM_RANGES.items()}
-        if 2.0 * d["kappa"] * d["theta"] < d["nu"] ** 2:
-            continue
         heston = HestonParams(kappa=d["kappa"], theta=d["theta"], nu=d["nu"],
                               rho=d["rho"], sigma0_sq=d["sigma0_sq"])
+        if not heston.feller_satisfied():
+            continue
         jumps = JumpLaw(intensity=d["lam"],
                         variant=LogNormal(mu_j=d["mu_j"], sigma_j=d["sigma_j"]))
-        out.append(ModelParams(heston=heston, jumps=jumps, r=r))
+        out.append(ModelParams(heston=heston, jumps=jumps, r=BENCH_RATE))
     return out
 
 
@@ -145,9 +146,6 @@ class SmileRow:
 @dataclass
 class SmileReport:
     rows: list
-    params_echo: dict
-    seed: int = 0
-    timings: dict = field(default_factory=dict)
     with_iv: bool = False
 
     @property
@@ -178,20 +176,21 @@ def _fmt(v: float) -> str:
 def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
               with_iv: bool = False,
               mt: MaturityTerms = None) -> SmileReport:
-    """Price/IV rows for ascending strikes; failures keep their row.
+    """Price/IV rows for ascending strikes; a failed cell keeps its row.
 
-    Each leg prices every strike in one call: price_smile from mt (the
-    maturity terms to price from, as in price_smile), and
+    A strike that makes no valid Contract raises its ParamError before
+    either leg prices. Each leg prices every strike in one call:
+    price_smile from mt (the maturity terms, as in price_smile), and
     price_reference_smile from one shared Fourier integral.
     """
-    t0 = time.perf_counter()
-    strikes = [float(k) for k in strikes]
+    contracts = sorted((Contract(s0=s0, strike=float(k), maturity=maturity)
+                        for k in strikes), key=lambda c: c.strike)
+    strikes = [c.strike for c in contracts]
     rows = []
-    for (strike, approx), (_, ref) in zip(
-            price_smile(params, s0, strikes, maturity, mt),
+    for contract, (_, approx), (_, ref) in zip(
+            contracts, price_smile(params, s0, strikes, maturity, mt),
             price_reference_smile(params, s0, strikes, maturity)):
-        contract = Contract(s0=s0, strike=strike, maturity=maturity)
-        row = SmileRow(strike=strike, maturity=maturity)
+        row = SmileRow(strike=contract.strike, maturity=maturity)
         if isinstance(approx, Exception):
             row.fail("approx_price", approx)
         else:
@@ -204,9 +203,7 @@ def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
             row.fill_iv("approx_iv", row.approx_price, contract, params.r)
             row.fill_iv("ref_iv", row.ref_price, contract, params.r)
         rows.append(row)
-    wall = time.perf_counter() - t0
-    return SmileReport(rows=rows, params_echo=params_to_dict(params, s0),
-                       timings={"wall_s": wall}, with_iv=with_iv)
+    return SmileReport(rows=rows, with_iv=with_iv)
 
 
 def _approx_prices(params: ModelParams, batch) -> list:

@@ -116,65 +116,21 @@ def bs_vega(x: float, y: float, strike: float, r: float, tau: float) -> float:
     return price_vega(*strike_constants(x, strike, r, tau), y)[1]
 
 
-# Array kernels: the same formulas with numpy semantics, broadcasting over
-# every argument -- the log-price nodes of the jump-mixture quadratures,
-# or a maturity's series terms (y, r) against its strikes in the
-# lognormal strike pass. They have no degenerate branch and no input
-# checks: the strike pass runs check_nondegenerate once per maturity. The
-# scalar kernels above stay for callers with one float (the Newton IV
-# inversion), where a numpy call costs several times a math call.
+# The one array kernel: all four formulas with numpy semantics,
+# broadcasting over every argument. It has no degenerate branch and no
+# input checks: the strike pass runs check_nondegenerate once per
+# maturity. The scalar kernels above serve one float (the Newton IV
+# inversion), where a numpy call costs several times a math call, and
+# are the tests' independent reference.
 
-def _d_arr(x, y, strike, r, tau) -> tuple:
-    """(d+, d-, y sqrt(tau)), rounded as d_plus_minus rounds them."""
+def pricer_kernels_arr(x, y, strike, r, tau) -> tuple:
+    """(BS, G BS, G^2 BS, L G BS), sharing d+- and the Gaussian factor
+    G BS; d+- round as d_plus_minus rounds them."""
     ysq = y * np.sqrt(tau)
     half = 0.5 * ysq
     m = (x - np.log(strike) + r * tau) / ysq
-    return m + half, m - half, ysq
-
-
-def _price_arr(x, strike, r, tau, dp, dm):
-    return np.exp(x) * ndtr(dp) - strike * np.exp(-r * tau) * ndtr(dm)
-
-
-def _gamma_arr(x, y, tau, dp2):
-    """G BS from d+^2; 0.5 * dp2 rounds as 0.5 * dp * dp does."""
-    return np.exp(x - 0.5 * dp2) / (y * np.sqrt(2.0 * math.pi * tau))
-
-
-def _gamma2_arr(g, dp, dp2, ysq):
-    return g * (dp2 - ysq * dp - 1.0) / (ysq * ysq)
-
-
-def _lambda_gamma_arr(g, dp, ysq):
-    return g * (1.0 - dp / ysq)
-
-
-def bs_price_arr(x, y, strike, r, tau):
-    dp, dm, _ = _d_arr(x, y, strike, r, tau)
-    return _price_arr(x, strike, r, tau, dp, dm)
-
-
-def gamma_bs_arr(x, y, strike, r, tau):
-    dp, _, _ = _d_arr(x, y, strike, r, tau)
-    return _gamma_arr(x, y, tau, dp * dp)
-
-
-def lambda_gamma_bs_arr(x, y, strike, r, tau):
-    dp, _, ysq = _d_arr(x, y, strike, r, tau)
-    return _lambda_gamma_arr(_gamma_arr(x, y, tau, dp * dp), dp, ysq)
-
-
-def gamma2_bs_arr(x, y, strike, r, tau):
-    dp, _, ysq = _d_arr(x, y, strike, r, tau)
+    dp, dm = m + half, m - half
     dp2 = dp * dp
-    return _gamma2_arr(_gamma_arr(x, y, tau, dp2), dp, dp2, ysq)
-
-
-def pricer_kernels_arr(x, y, strike, r, tau) -> tuple:
-    """(BS, G^2 BS, L G BS), the three kernels of the decomposition,
-    sharing d+- and the Gaussian factor G BS."""
-    dp, dm, ysq = _d_arr(x, y, strike, r, tau)
-    dp2 = dp * dp
-    g = _gamma_arr(x, y, tau, dp2)
-    return (_price_arr(x, strike, r, tau, dp, dm),
-            _gamma2_arr(g, dp, dp2, ysq), _lambda_gamma_arr(g, dp, ysq))
+    g = np.exp(x - 0.5 * dp2) / (y * np.sqrt(2.0 * math.pi * tau))
+    return (np.exp(x) * ndtr(dp) - strike * np.exp(-r * tau) * ndtr(dm), g,
+            g * (dp2 - ysq * dp - 1.0) / (ysq * ysq), g * (1.0 - dp / ysq))

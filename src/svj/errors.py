@@ -7,6 +7,7 @@ The CLI maps these onto exit codes: ParamError -> 2, ArithmeticError
 import dataclasses
 import functools
 import math
+import numbers
 
 
 class ParamError(ValueError):
@@ -48,9 +49,12 @@ def _field_names(cls) -> tuple:
 
 
 def check_finite(obj) -> None:
-    """Raise ParamError naming the first float field of a dataclass that
-    is NaN or infinite."""
+    """Raise ParamError naming the first real-valued field of a dataclass
+    that is NaN or infinite, numpy scalars such as np.float32 included."""
     for name in _field_names(type(obj)):
         val = getattr(obj, name)
-        if isinstance(val, float) and not math.isfinite(val):
+        # float first, as the common case and cheaper than an ABC test
+        real = isinstance(val, float) or (
+            isinstance(val, numbers.Real) and not isinstance(val, numbers.Integral))
+        if real and not math.isfinite(val):
             raise ParamError(f"{name} must be finite, got {val}")

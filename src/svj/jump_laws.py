@@ -103,10 +103,6 @@ class JumpLaw:
             raise ParamError(f"unknown jump variant {type(self.variant).__name__}")
 
 
-def _variant(law) -> Variant:
-    return law.variant if isinstance(law, JumpLaw) else law
-
-
 # ---------------------------------------------------------------------------
 # Poisson series
 
@@ -135,8 +131,8 @@ N_MAX_CAP = 200
 _EPS = sys.float_info.epsilon
 
 
-def truncate_series(lambda_t: float, tol: float = DEFAULT_SERIES_TOL,
-                    cap: int = N_MAX_CAP) -> SeriesTruncation:
+def truncate_series(lambda_t: float,
+                    tol: float = DEFAULT_SERIES_TOL) -> SeriesTruncation:
     """Smallest n_max whose Poisson tail mass is <= tol.
 
     The pmf values summed on the way are returned as the series weights,
@@ -152,7 +148,7 @@ def truncate_series(lambda_t: float, tol: float = DEFAULT_SERIES_TOL,
         raise ParamError(f"tol must be in (0, 1), got {tol}")
     pmf = []
     running = 0.0
-    for n in range(cap + 1):
+    for n in range(N_MAX_CAP + 1):
         pmf.append(poisson_pmf(n, lambda_t))
         running += pmf[-1]
         if 1.0 - running > tol + (n + 3) * _EPS:
@@ -162,15 +158,15 @@ def truncate_series(lambda_t: float, tol: float = DEFAULT_SERIES_TOL,
             return SeriesTruncation(n_max=n, tail_mass=max(0.0, tail),
                                     tolerance=tol, weights=tuple(pmf))
     raise SeriesTruncationError(
-        f"Poisson tail above {tol} after {cap} terms (lambda_T={lambda_t})")
+        f"Poisson tail above {tol} after {N_MAX_CAP} terms (lambda_T={lambda_t})")
 
 
 # ---------------------------------------------------------------------------
 # compensator and characteristic function
 
-def compensator_k(law) -> float:
+def compensator_k(law: JumpLaw) -> float:
     """k = E(e^Y - 1) per amplitude law."""
-    v = _variant(law)
+    v = law.variant
     if isinstance(v, LogNormal):
         return math.expm1(v.mu_j + 0.5 * v.sigma_j ** 2)
     if isinstance(v, Kou):
@@ -189,9 +185,9 @@ def _expm1_over(x: float) -> float:
     return math.expm1(x) / x
 
 
-def jump_char_fn(law, u):
+def jump_char_fn(law: JumpLaw, u):
     """E(e^{iuY}); accepts real or complex u, scalar or ndarray."""
-    v = _variant(law)
+    v = law.variant
     u = np.asarray(u, dtype=complex)
     if isinstance(v, LogNormal):
         out = np.exp(1j * u * v.mu_j - 0.5 * u * u * v.sigma_j ** 2)
@@ -229,16 +225,15 @@ def lognormal_shift(n, law: JumpLaw, v0: float, r: float,
     r_tilde_n = r + c_n with c_n = -lambda k + n (mu_j + sigma_j^2/2)/T;
     v_tilde_n = sqrt(v0^2 + n sigma_j^2 / T); n may be an array.
     """
-    v = _variant(law)
+    v = law.variant
     if not isinstance(v, LogNormal):
         raise ParamError(f"lognormal_shift needs a LogNormal law, got {type(v).__name__}")
     if big_t <= 0.0:
         raise ParamError(f"need T > 0, got {big_t}")
     if np.any(n < 0):
         raise ParamError(f"n must be >= 0, got {n}")
-    lam = law.intensity if isinstance(law, JumpLaw) else 0.0
     half = v.mu_j + 0.5 * v.sigma_j ** 2
-    c_n = -lam * math.expm1(half) + n * half / big_t
+    c_n = -law.intensity * math.expm1(half) + n * half / big_t
     v_tilde = np.sqrt(v0 * v0 + n * v.sigma_j ** 2 / big_t)
     return v_tilde, r + c_n
 
@@ -289,9 +284,9 @@ def _erlang_pdf(u, k: int, rate: float):
                   - math.lgamma(k))
 
 
-def kou_convolution_density(n: int, u, law) -> Union[float, np.ndarray]:
+def kou_convolution_density(n: int, u, law: JumpLaw) -> Union[float, np.ndarray]:
     """Density of the sum of n i.i.d. Kou amplitudes at u."""
-    v = _variant(law)
+    v = law.variant
     if not isinstance(v, Kou):
         raise ParamError(f"need a Kou law, got {type(v).__name__}")
     if n < 1:
@@ -316,9 +311,9 @@ def kou_convolution_density(n: int, u, law) -> Union[float, np.ndarray]:
     return out if out.shape else float(out)
 
 
-def loguniform_convolution_density(n: int, u, law) -> Union[float, np.ndarray]:
+def loguniform_convolution_density(n: int, u, law: JumpLaw) -> Union[float, np.ndarray]:
     """Density of the sum of n i.i.d. U[a,b] amplitudes (Irwin-Hall type)."""
-    v = _variant(law)
+    v = law.variant
     if not isinstance(v, LogUniform):
         raise ParamError(f"need a LogUniform law, got {type(v).__name__}")
     if n < 1:
@@ -339,9 +334,9 @@ def loguniform_convolution_density(n: int, u, law) -> Union[float, np.ndarray]:
     return out if out.shape else float(out)
 
 
-def convolution_density(n: int, law) -> Callable:
+def convolution_density(n: int, law: JumpLaw) -> Callable:
     """f_{J_n} as a vectorized callable; n >= 1."""
-    v = _variant(law)
+    v = law.variant
     if isinstance(v, LogNormal):
         if v.sigma_j == 0.0:
             raise ParamError("degenerate LogNormal(sigma_j=0) has no density")
@@ -358,14 +353,14 @@ def convolution_density(n: int, law) -> Callable:
     raise ParamError(f"unknown jump variant {type(v).__name__}")
 
 
-def jump_support(n: int, law) -> tuple:
+def jump_support(n: int, law: JumpLaw) -> tuple:
     """(lo, hi, interior breakpoints) for quadrature over f_{J_n}.
 
     Unbounded laws get +-10 standard deviations; the Kou upper bound is
     stretched so the e^y payoff weight times the e^(-eta1 y) tail is
     negligible even for eta1 near 1.
     """
-    v = _variant(law)
+    v = law.variant
     if isinstance(v, LogNormal):
         mean, sd = n * v.mu_j, math.sqrt(n) * v.sigma_j
         return mean - 10.0 * sd, mean + 10.0 * sd, ()
@@ -388,16 +383,12 @@ def jump_support(n: int, law) -> tuple:
 
 _GN_QUAD = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=512)
 
-_KERNELS = {
-    "price": bs_kernel.bs_price_arr,
-    "gamma": bs_kernel.gamma_bs_arr,
-    "gamma2": bs_kernel.gamma2_bs_arr,
-    "lambda_gamma": bs_kernel.lambda_gamma_bs_arr,
-}
+_KERNELS = {name: lambda *args, i=i: bs_kernel.pricer_kernels_arr(*args)[i]
+            for i, name in enumerate(("price", "gamma", "gamma2", "lambda_gamma"))}
 
 
-def gn_generic(x: float, n: int, law, v0: float, r_eff: float, strike: float,
-               big_t: float, kernel: str = "price",
+def gn_generic(x: float, n: int, law: JumpLaw, v0: float, r_eff: float,
+               strike: float, big_t: float, kernel: str = "price",
                quad: QuadratureConfig = _GN_QUAD) -> float:
     """E[ kernel(0, x + J_n, v0) ] at rate r_eff by adaptive quadrature.
 

@@ -45,9 +45,9 @@ _W_GAUSS[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Targets and budget for one adaptive integration."""
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 512
+    abs_tol: float
+    rel_tol: float
+    max_subdivisions: int
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,6 @@ class QuadratureResult:
     n_evals: int
     n_subdivisions: int
 
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 # No tolerance asks for less than the rounding error of the sums: 50
 # machine epsilons (QUADPACK's dqk15 floor) of sum_i |integral over
@@ -70,7 +68,7 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 def gk15_adaptive(f, a: float, b: float,
-                  config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+                  config: QuadratureConfig) -> QuadratureResult:
     """Integrate f over [a, b] to the configured tolerance.
 
     f must accept a 1-d numpy array of N abscissae and return N values,
@@ -159,7 +157,7 @@ def gk15_adaptive(f, a: float, b: float,
         est = est[:, keep]
 
 
-def integrate_semi_infinite(f, config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+def integrate_semi_infinite(f, config: QuadratureConfig) -> QuadratureResult:
     """Integrate f over [0, inf) via the substitution u = (1 - s) / s.
 
     The transformed integrand is f((1-s)/s) / s^2 on s in (0, 1); the

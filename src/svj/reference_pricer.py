@@ -17,7 +17,7 @@ Two pricing routes:
                        in-the-money probabilities P1, P2
 
 both over u in [0, inf) mapped to (0,1] via u = (1-s)/s with the shared
-adaptive Gauss-Kronrod engine.
+adaptive Gauss-Kronrod engine, at the fixed tolerances DEFAULT_REF_QUAD.
 
 Only e^(iu kbar), kbar = ln(S0/K) + rT, depends on the strike in the
 one-integral form. price_reference_smile prices a maturity's strikes
@@ -94,7 +94,7 @@ def bates_char_fn(u, params: ModelParams, big_t: float, x0: float = 0.0):
     return out if out.shape else complex(out)
 
 
-def _price_one_integral(params, s0, strikes, big_t, cfg) -> list:
+def _price_one_integral(params, s0, strikes, big_t) -> list:
     """One-integral call prices of valid strikes at one maturity, from
     one stacked integral with a row per strike."""
     # math.log, not np.log: the two may round differently
@@ -106,29 +106,29 @@ def _price_one_integral(params, s0, strikes, big_t, cfg) -> list:
         phi = bates_char_fn(z, params, big_t) * np.exp(-1j * z * params.r * big_t)
         return (np.exp(1j * u * kbar) * phi).real / (u * u + 0.25)
 
-    ints = integrate_semi_infinite(integrand, cfg).value.tolist()
+    ints = integrate_semi_infinite(integrand, DEFAULT_REF_QUAD).value.tolist()
     # prefactor e^{-rT} sqrt(F K) = sqrt(S0 K) e^{-rT/2}
     disc = math.exp(-0.5 * params.r * big_t)
     return [s0 - math.sqrt(s0 * k) * disc / math.pi * v
             for k, v in zip(strikes, ints)]
 
 
-def price_reference_smile(params: ModelParams, s0: float, strikes, big_t: float,
-                          cfg: QuadratureConfig = DEFAULT_REF_QUAD) -> list:
+def price_reference_smile(params: ModelParams, s0: float, strikes,
+                          big_t: float) -> list:
     """One-integral call prices across strikes of one maturity.
 
     Returns a list of (strike, price | Exception), ascending strike, as
     approx_pricer.price_smile does. A strike that is no valid Contract
     gets its own ParamError; the valid strikes share one stacked
-    integration, with a component per strike at cfg's tolerances, and
-    its failure is paired with every valid strike.
+    integration, with a component per strike at DEFAULT_REF_QUAD's
+    tolerances, and its failure is paired with every valid strike.
     """
     return pair_strikes(s0, strikes, big_t,
                         lambda valid: _price_one_integral(params, s0, valid,
-                                                          big_t, cfg))
+                                                          big_t))
 
 
-def _in_money_probs(params, contract, cfg):
+def _in_money_probs(params, contract):
     s0, strike, big_t = contract.s0, contract.strike, contract.maturity
     x0 = math.log(s0)
     lnk = math.log(strike)
@@ -142,29 +142,21 @@ def _in_money_probs(params, contract, cfg):
         phi = bates_char_fn(u - 1j, params, big_t, x0)
         return (np.exp(-1j * u * lnk) * phi / (1j * u * norm)).real
 
-    p2 = 0.5 + integrate_semi_infinite(integrand_p2, cfg).value / math.pi
-    p1 = 0.5 + integrate_semi_infinite(integrand_p1, cfg).value / math.pi
+    p2 = 0.5 + integrate_semi_infinite(integrand_p2, DEFAULT_REF_QUAD).value / math.pi
+    p1 = 0.5 + integrate_semi_infinite(integrand_p1, DEFAULT_REF_QUAD).value / math.pi
     return p1, p2
 
 
 def price_reference(params: ModelParams, contract: Contract,
-                    cfg: QuadratureConfig = DEFAULT_REF_QUAD,
-                    method: str = "one-integral", payoff: str = "call") -> float:
-    """Semi-closed Fourier price; method is one-integral or two-integral."""
-    if payoff not in ("call", "put"):
-        raise ParamError(f"payoff must be call or put, got {payoff}")
-    disc_k = contract.strike * math.exp(-params.r * contract.maturity)
+                    method: str = "one-integral") -> float:
+    """Semi-closed Fourier call price; method is one-integral or two-integral."""
     if method == "one-integral":
-        call = _price_one_integral(params, contract.s0, [contract.strike],
-                                   contract.maturity, cfg)[0]
-        if payoff == "call":
-            return call
-        return call - contract.s0 + disc_k
+        return _price_one_integral(params, contract.s0, [contract.strike],
+                                   contract.maturity)[0]
     if method == "two-integral":
-        p1, p2 = _in_money_probs(params, contract, cfg)
-        if payoff == "call":
-            return contract.s0 * p1 - disc_k * p2
-        return disc_k * (1.0 - p2) - contract.s0 * (1.0 - p1)
+        p1, p2 = _in_money_probs(params, contract)
+        disc_k = contract.strike * math.exp(-params.r * contract.maturity)
+        return contract.s0 * p1 - disc_k * p2
     raise ParamError(f"unknown method {method!r}")
 
 

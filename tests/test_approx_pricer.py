@@ -17,7 +17,7 @@ from svj.errors import (PRICING_ERRORS, DomainError, ParamError,
                         SeriesTruncationError)
 from svj.heston_moments import HestonParams
 from svj.jump_laws import JumpLaw, Kou, LogNormal, LogUniform
-from svj.reference_pricer import price_reference
+from svj.reference_pricer import price_reference, price_reference_smile
 
 ATM = Contract(s0=100.0, strike=100.0, maturity=0.3)
 
@@ -98,6 +98,29 @@ def test_smile_pairs_invalid_strike_and_degenerate_maturity(big_t, error):
             assert math.isfinite(res.price)
         else:
             assert type(res) is error
+
+
+def test_smiles_put_nan_strikes_last():
+    """Both smile pricers return ascending strikes with a NaN strike
+    last, where sorted() alone would leave it in place."""
+    params = make_params(nu=0.05, rho=-0.2)
+    for smile in (price_smile, price_reference_smile):
+        out = smile(params, 100.0, [100.0, math.nan, 90.0], 0.3)
+        assert [k for k, _ in out[:2]] == [90.0, 100.0]
+        assert math.isnan(out[2][0]) and type(out[2][1]) is ParamError
+
+
+@pytest.mark.parametrize("smile", [price_smile, price_reference_smile])
+def test_smile_refuses_a_numpy_nan_strike(smile):
+    """A np.float32 NaN strike gets its own ParamError, as a float NaN
+    does, and the other strikes keep finite prices."""
+    params = make_params(nu=0.05, rho=-0.2)
+    out = smile(params, 100.0, [90.0, np.float32("nan"), 110.0], 0.3)
+    [bad] = [res for k, res in out if k != k]
+    assert type(bad) is ParamError and "strike must be finite" in str(bad)
+    good = [res for k, res in out if k == k]
+    assert len(good) == 2
+    assert all(math.isfinite(getattr(res, "price", res)) for res in good)
 
 
 def _paper_series(params, contract, mt):

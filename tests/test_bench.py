@@ -132,6 +132,24 @@ def test_shared_reference_failure_fails_every_ref_cell(monkeypatch):
         assert math.isfinite(row.approx_price) and math.isfinite(row.approx_iv)
 
 
+@pytest.mark.parametrize("bad", [-5.0, math.nan, np.float32("nan")])
+def test_run_smile_refuses_an_invalid_strike_before_pricing(monkeypatch, bad):
+    """An invalid strike raises its Contract ParamError before either leg
+    is called."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return []
+
+    monkeypatch.setattr(bench, "price_smile", counted)
+    monkeypatch.setattr(bench, "price_reference_smile", counted)
+    params = make_params(nu=0.05, rho=-0.2)
+    with pytest.raises(ParamError, match="strike must be"):
+        bench.run_smile(params, 100.0, [90.0, bad, 110.0], 0.3, with_iv=True)
+    assert calls == []
+
+
 def test_run_smile_runs_one_reference_integral(monkeypatch):
     """The reference leg of a smile is one shared integration, however
     many strikes it has."""

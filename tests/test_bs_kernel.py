@@ -200,20 +200,10 @@ def test_array_variants_match_scalar():
          np.array([0.0, 0.05])[None, None, :], 0.8)]
     for x, y, k, r, t in cases:
         args = np.broadcast_arrays(x, y, k, r, t)
-        for arr_fn, fn in ((bs_kernel.bs_price_arr, bs_price),
-                           (bs_kernel.gamma_bs_arr, gamma_bs),
-                           (bs_kernel.lambda_gamma_bs_arr, lambda_gamma_bs),
-                           (bs_kernel.gamma2_bs_arr, gamma2_bs)):
-            got = arr_fn(x, y, k, r, t)
+        outputs = bs_kernel.pricer_kernels_arr(x, y, k, r, t)
+        assert len(outputs) == 4
+        for got, fn in zip(outputs, (bs_price, gamma_bs, gamma2_bs,
+                                     lambda_gamma_bs)):
             want = np.vectorize(fn)(*args)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-13)
-
-
-def test_pricer_kernels_are_the_single_kernels():
-    x, y, k, r = (math.log(100.0), np.array([0.2, 0.5])[:, None],
-                  np.array([80.0, 100.0, 125.0]), np.array([0.01, 0.03])[:, None])
-    got = bs_kernel.pricer_kernels_arr(x, y, k, r, 1.5)
-    for arr, fn in zip(got, (bs_kernel.bs_price_arr, bs_kernel.gamma2_bs_arr,
-                             bs_kernel.lambda_gamma_bs_arr)):
-        np.testing.assert_array_equal(arr, fn(x, y, k, r, 1.5))

@@ -98,6 +98,17 @@ def test_feller_flag():
                             sigma0_sq=0.1).feller_satisfied()
 
 
+@pytest.mark.parametrize("value", [np.float32("nan"), np.float16("inf"),
+                                   np.longdouble("-inf")])
+def test_non_finite_numpy_scalar_refused(value):
+    """A NaN or infinity is refused whatever its real type; integers of
+    any type pass."""
+    with pytest.raises(ParamError, match="theta must be finite"):
+        HestonParams(kappa=1.0, theta=value, nu=0.1, rho=-0.5, sigma0_sq=0.2)
+    HestonParams(kappa=np.int64(1), theta=np.float32(0.2), nu=0, rho=-0.5,
+                 sigma0_sq=10 ** 400)
+
+
 def test_validation():
     with pytest.raises(ParamError):
         HestonParams(kappa=-1.0, theta=0.2, nu=0.1, rho=-0.5, sigma0_sq=0.2)

@@ -79,16 +79,6 @@ def test_methods_agree():
             assert one == pytest.approx(two, abs=5e-10)
 
 
-def test_put_call_parity_both_methods():
-    params = make_params(nu=0.3, rho=-0.6, lam=0.2)
-    c = Contract(s0=100.0, strike=105.0, maturity=1.4)
-    rhs = 100.0 - 105.0 * math.exp(-params.r * 1.4)
-    for method in ("one-integral", "two-integral"):
-        call = price_reference(params, c, method=method)
-        put = price_reference(params, c, method=method, payoff="put")
-        assert call - put == pytest.approx(rhs, abs=1e-10)
-
-
 def test_flat_limit_is_bs():
     params = make_params(nu=0.0, rho=0.0, lam=0.0)
     v0 = heston_moments.avg_expected_variance_v0(params.heston, 0.3)
@@ -257,8 +247,6 @@ def test_newton_iv_step_cap_raises(monkeypatch):
 def test_bad_method_rejected():
     with pytest.raises(ParamError):
         price_reference(make_params(nu=0.05, rho=-0.2), ATM, method="fft")
-    with pytest.raises(ParamError):
-        price_reference(make_params(nu=0.05, rho=-0.2), ATM, payoff="digital")
 
 
 REGIMES = ((0.05, -0.2), (0.05, -0.8), (0.5, -0.2), (0.5, -0.8))
