@@ -28,13 +28,19 @@ maturity_terms still reports its Poisson(lambda T) truncation.
 
 All but the kernel evaluations depend on (params, T) alone, not on the
 strike: maturity_terms computes them once per maturity. The strike axis
-is one pass too. For LogNormal amplitudes, price_smile evaluates the
-three kernels of every (term, strike) pair as numpy arrays
-(bs_kernel.pricer_kernels_arr) and sums each strike's terms with
-math.fsum; price_approx is the one-strike case of the same pass, bit for
-bit. For other laws, every strike's three integrands share one adaptive
-GK15 node set (a stacked quadrature.gk15_adaptive), so price_approx
-agrees with the matching price_smile entry to quadrature tolerance.
+is one pass too. pair_strikes validates a smile's strikes with one numpy
+mask, building a Contract only for a refused strike, to give its error.
+For LogNormal amplitudes, price_smile evaluates the three kernels of
+every (term, strike) pair as numpy arrays (bs_kernel.pricer_kernels_arr),
+weights them by pi_n and adds each strike's terms in order, n = 0 first,
+in one cumsum over the stacked (kernel, strike, term) array; PriceResult
+objects are built only from the summed arrays. A matrix product would
+round by BLAS block and ndarray.sum pairwise, and neither keeps a
+strike's sums free of the other strikes and of the series' length.
+price_approx is the one-strike case of the same pass, bit for bit. For
+other laws, every strike's three integrands share one adaptive GK15 node
+set (a stacked quadrature.gk15_adaptive), so price_approx agrees with
+the matching price_smile entry to quadrature tolerance.
 """
 from __future__ import annotations
 
@@ -134,23 +140,38 @@ def _check_terms(mt: MaturityTerms, params: ModelParams, big_t: float) -> None:
 def _price_strikes(mt: MaturityTerms, s0: float, strikes) -> list:
     """PriceResult per strike, all from the one maturity's terms.
 
-    LogNormal amplitudes: one numpy pass over (strikes x terms) arrays of
-    the three kernels. Other laws: one Lewis integral per maturity
-    (_lewis_sums). Each strike's parts are then summed on their own
-    (_compose).
+    The three sums (sum pi_n G_n, and its Gamma2 and LambdaGamma images)
+    come as arrays over the strikes. LogNormal amplitudes: one numpy pass
+    over (strikes x terms) arrays of the three kernels, weighted by pi_n
+    and added in order, n = 0 first, by one cumsum for all three, so a
+    strike's sums do not depend on the other strikes of the pass, and a
+    longer series never sums lower. Neither a matrix product (BLAS rounds
+    by block, so price_approx would drift from its price_smile entry) nor
+    ndarray.sum (pairwise: the base term could drop as tol shrinks)
+    keeps that. Other laws: one Lewis integral per maturity
+    (_lewis_sums). The terms are then combined elementwise, so price =
+    base_term + r0_term + u0_term bit-exactly.
     """
     big_t = mt.maturity
     if mt.vol is not None:
-        # rows: strikes, columns: terms; one degenerate check for all terms
-        bs_kernel.check_nondegenerate(float(mt.vol.min()), big_t)
+        # v_tilde_n grows with n: one degenerate check covers every term
+        bs_kernel.check_nondegenerate(float(mt.vol[0]), big_t)
         bs, _, g2, lg = bs_kernel.pricer_kernels_arr(
-            math.log(s0), mt.vol, np.array(strikes, dtype=float)[:, None],
+            math.log(s0), mt.vol, np.asarray(strikes, dtype=float)[:, None],
             mt.rate, big_t)
-        w = np.array(mt.truncation.weights)
-        g, g2, lg = ((w * k).tolist() for k in (bs, g2, lg))
-        return [_compose(mt, *parts) for parts in zip(g, g2, lg)]
-    bs_kernel.check_nondegenerate(mt.v0, big_t)
-    return [_compose(mt, *parts) for parts in _lewis_sums(mt, s0, strikes)]
+        # (3, strikes, terms), summed over the terms
+        base, g2, lg = (np.array((bs, g2, lg))
+                        * mt.truncation.weights).cumsum(-1)[..., -1]
+    else:
+        bs_kernel.check_nondegenerate(mt.v0, big_t)
+        base, g2, lg = _lewis_sums(mt, s0, strikes)
+    r0_term = mt.r0 * g2
+    u0_term = mt.u0 * lg
+    price = base + r0_term + u0_term
+    trunc = mt.truncation
+    return [PriceResult(p, b, r, u, trunc) for p, b, r, u in
+            zip(price.tolist(), base.tolist(), r0_term.tolist(),
+                u0_term.tolist())]
 
 
 # the tolerances of gn_generic's quadratures, jump_laws._GN_QUAD; the
@@ -164,10 +185,10 @@ _LEWIS_QUAD = quadrature.QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10,
 _LEWIS_TAIL = 1e-15
 
 
-def _lewis_sums(mt: MaturityTerms, s0: float, strikes) -> list:
-    """((sum p_n G_n,), (sum p_n Gamma2 G_n,), (sum p_n LambdaGamma G_n,))
-    per strike, from the nu = 0 model with variance v0^2 and the same
-    jumps, whose Lewis (2001) call price is sum p_n G_n:
+def _lewis_sums(mt: MaturityTerms, s0: float, strikes) -> tuple:
+    """(sum p_n G_n, sum p_n Gamma2 G_n, sum p_n LambdaGamma G_n), each an
+    array over the strikes, from the nu = 0 model with variance v0^2 and
+    the same jumps, whose Lewis (2001) call price is sum p_n G_n:
 
         base = S0 - c int_0^inf Re[e^(iu kbar) phihat(u - i/2)] / (u^2 + 1/4) du
 
@@ -194,11 +215,7 @@ def _lewis_sums(mt: MaturityTerms, s0: float, strikes) -> list:
                                     _LEWIS_QUAD).value
     n = len(strikes)
     c = np.sqrt(s0 * strikes) * math.exp(-0.5 * r * big_t) / math.pi
-    base = s0 - c * ints[:n]
-    gamma2 = -c * ints[n:2 * n]
-    lambda_gamma = c * ints[2 * n:]
-    return [((b,), (g2,), (lg,)) for b, g2, lg in
-            zip(base.tolist(), gamma2.tolist(), lambda_gamma.tolist())]
+    return s0 - c * ints[:n], -c * ints[n:2 * n], c * ints[2 * n:]
 
 
 def _lewis_cutoff(law: JumpLaw, var_t: float, big_t: float) -> float:
@@ -226,17 +243,6 @@ def _lewis_cutoff(law: JumpLaw, var_t: float, big_t: float) -> float:
                   + math.log((u * u + 1.0 / a + 1.25) / (2.0 * a * u)))
         u = max(u, math.sqrt(max(excess, 0.0) / a))
     return u
-
-
-def _compose(mt: MaturityTerms, g_parts, g2_parts, lg_parts) -> PriceResult:
-    """Each term is its own compensated sum; the final add is the only
-    combination, so price = base_term + r0_term + u0_term bit-exactly."""
-    base = math.fsum(g_parts)
-    r0_term = mt.r0 * math.fsum(g2_parts)
-    u0_term = mt.u0 * math.fsum(lg_parts)
-    return PriceResult(price=base + r0_term + u0_term, base_term=base,
-                       r0_term=r0_term, u0_term=u0_term,
-                       truncation=mt.truncation)
 
 
 def price_approx(params: ModelParams, contract: Contract,
@@ -276,28 +282,51 @@ def pair_strikes(s0: float, strikes, big_t: float, price) -> list:
     """(strike, result | Exception) per strike, ascending, NaN last.
 
     A strike that is no valid Contract gets its own ParamError. The
-    valid strikes go to one call of price(valid strikes), which returns
-    a result per strike; its failure is paired with every valid strike.
+    valid strikes go, as one float array, to one call of price(valid
+    strikes), which returns a result per strike; its failure is paired
+    with every valid strike. A Contract is built only for a strike that
+    _strike_mask does not pass, to give its error.
     """
     if len(strikes) == 0:
         raise ParamError("strikes must be nonempty")
     # k != k for NaN alone; sorted() would leave a NaN where it stands
     strikes = sorted(strikes, key=lambda k: (k != k, k))
-    results = []
-    for strike in strikes:
-        try:
-            Contract(s0=s0, strike=strike, maturity=big_t)
-        except ParamError as exc:
-            results.append(exc)
-        else:
-            results.append(None)
+    results = [None] * len(strikes)
+    for i, ok in enumerate(_strike_mask(s0, strikes, big_t)):
+        if not ok:
+            try:
+                Contract(s0=s0, strike=strikes[i], maturity=big_t)
+            except ParamError as exc:
+                results[i] = exc
     valid = [i for i, res in enumerate(results) if res is None]
     if valid:
         # one pass over every valid strike
         try:
-            priced = price([strikes[i] for i in valid])
+            priced = price(np.array([strikes[i] for i in valid], dtype=float))
         except PRICING_ERRORS as exc:
             priced = [exc] * len(valid)
         for i, res in zip(valid, priced):
             results[i] = res
     return list(zip(strikes, results))
+
+
+# the types whose Contract check is "finite and > 0" of the float value
+_FLOAT_TYPES = frozenset((float, int, np.float64, np.float32))
+
+
+def _strike_mask(s0, strikes, big_t) -> list:
+    """Per strike, whether Contract(s0, strike, T) is valid, from one
+    numpy mask of "finite and > 0". The mask tells exactly where s0 and
+    T are finite and > 0, and all of s0, T and the strikes are floats,
+    ints, np.float64 or np.float32 in the float range; elsewhere every
+    entry is None, and each strike's Contract must tell."""
+    if (type(s0) in _FLOAT_TYPES and type(big_t) in _FLOAT_TYPES
+            and 0.0 < s0 < math.inf and 0.0 < big_t < math.inf
+            and _FLOAT_TYPES.issuperset(map(type, strikes))):
+        try:
+            values = np.array(strikes, dtype=float)
+        except OverflowError:       # an int beyond the float range
+            pass
+        else:
+            return (np.isfinite(values) & (values > 0.0)).tolist()
+    return [None] * len(strikes)

@@ -104,13 +104,6 @@ def _one_minus_exp_over(x: float) -> float:
     return -math.expm1(-x) / x
 
 
-def expected_variance(params: HestonParams, t: float, s: float) -> float:
-    """E_t(sig_s^2) given the time-t variance equals params.sigma0_sq."""
-    if s < t:
-        raise ParamError(f"need s >= t, got t={t}, s={s}")
-    return params.theta + (params.sigma0_sq - params.theta) * math.exp(-params.kappa * (s - t))
-
-
 def expected_integrated_variance(params: HestonParams, big_t: float) -> float:
     """E(int_0^T sig_s^2 ds)."""
     if big_t < 0.0:
@@ -125,14 +118,6 @@ def avg_expected_variance_v0(params: HestonParams, big_t: float) -> float:
     if big_t == 0.0:
         return math.sqrt(params.sigma0_sq)
     return math.sqrt(expected_integrated_variance(params, big_t) / big_t)
-
-
-def phi(params: HestonParams, t: float, big_t: float) -> float:
-    """int_t^T e^(-kappa (z - t)) dz = (1 - e^(-kappa (T-t))) / kappa."""
-    if big_t < t:
-        raise ParamError(f"need T >= t, got t={t}, T={big_t}")
-    tau = big_t - t
-    return tau * _one_minus_exp_over(params.kappa * tau)
 
 
 def u0(params: HestonParams, big_t: float) -> float:

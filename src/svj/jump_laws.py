@@ -223,15 +223,14 @@ def lognormal_shift(n, law: JumpLaw, v0: float, r: float,
     """(v_tilde_n, r_tilde_n) for the n-jump lognormal closed form.
 
     r_tilde_n = r + c_n with c_n = -lambda k + n (mu_j + sigma_j^2/2)/T;
-    v_tilde_n = sqrt(v0^2 + n sigma_j^2 / T); n may be an array.
+    v_tilde_n = sqrt(v0^2 + n sigma_j^2 / T); n is an int >= 0 or an
+    array of them (unchecked: maturity_terms passes an arange).
     """
     v = law.variant
     if not isinstance(v, LogNormal):
         raise ParamError(f"lognormal_shift needs a LogNormal law, got {type(v).__name__}")
     if big_t <= 0.0:
         raise ParamError(f"need T > 0, got {big_t}")
-    if np.any(n < 0):
-        raise ParamError(f"n must be >= 0, got {n}")
     half = v.mu_j + 0.5 * v.sigma_j ** 2
     c_n = -law.intensity * math.expm1(half) + n * half / big_t
     v_tilde = np.sqrt(v0 * v0 + n * v.sigma_j ** 2 / big_t)

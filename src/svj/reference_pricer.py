@@ -151,7 +151,7 @@ def price_reference(params: ModelParams, contract: Contract,
                     method: str = "one-integral") -> float:
     """Semi-closed Fourier call price; method is one-integral or two-integral."""
     if method == "one-integral":
-        return _price_one_integral(params, contract.s0, [contract.strike],
+        return _price_one_integral(params, contract.s0, [float(contract.strike)],
                                    contract.maturity)[0]
     if method == "two-integral":
         p1, p2 = _in_money_probs(params, contract)

@@ -5,12 +5,31 @@ bates_gamma_n, d_b1 and d_b2 are the closed forms of the log-normal
 D_B terms of the implied-vol expansion. The library computes the same
 quantities as sums inside approx_pricer.price_approx; these evaluate
 them term by term so the tests can compare each against quadrature and
-the frozen oracles.
+the frozen oracles. expected_variance and phi are the integrands of the
+u0 and r0 functionals, which heston_moments gives in closed form.
 """
 import math
 
 from svj import bs_kernel, heston_moments, jump_laws
+from svj.errors import ParamError
 from svj.jump_laws import LogNormal
+
+
+def expected_variance(params, t: float, s: float) -> float:
+    """E_t(sig_s^2) given the time-t variance equals params.sigma0_sq."""
+    if s < t:
+        raise ParamError(f"need s >= t, got t={t}, s={s}")
+    return params.theta + ((params.sigma0_sq - params.theta)
+                           * math.exp(-params.kappa * (s - t)))
+
+
+def phi(params, t: float, big_t: float) -> float:
+    """int_t^T e^(-kappa (z - t)) dz = (1 - e^(-kappa (T-t))) / kappa."""
+    if big_t < t:
+        raise ParamError(f"need T >= t, got t={t}, T={big_t}")
+    tau = big_t - t
+    x = params.kappa * tau
+    return tau if x == 0.0 else tau * (-math.expm1(-x) / x)
 
 
 def gn_term(n, params, contract) -> tuple:

@@ -25,12 +25,11 @@ from scipy import integrate
 
 import svj.bench as bench
 import svj.jump_laws as jump_laws
-from _terms import gn_term
+from _terms import expected_variance, gn_term, phi
 from conftest import make_params, record_criterion
 from svj.approx_pricer import Contract, ModelParams, price_approx
 from svj.bs_kernel import bs_price, gamma2_bs, lambda_gamma_bs
-from svj.heston_moments import (HestonParams, avg_expected_variance_v0,
-                                expected_variance, phi, r0, u0)
+from svj.heston_moments import HestonParams, avg_expected_variance_v0, r0, u0
 from svj.jump_laws import JumpLaw, Kou, LogNormal, LogUniform
 from svj.mc_oracle import McConfig, mc_price
 from svj.reference_pricer import implied_vol_invert, price_reference

@@ -123,6 +123,78 @@ def test_smile_refuses_a_numpy_nan_strike(smile):
     assert all(math.isfinite(getattr(res, "price", res)) for res in good)
 
 
+def _contract_pairs(s0, strikes, big_t) -> list:
+    """The per-strike reference of a smile's validation: (strike, error
+    type, message) per strike, ascending with NaN strikes last in their
+    given order, the error None where the Contract is valid."""
+    ordered = (sorted(k for k in strikes if k == k)
+               + [k for k in strikes if k != k])
+    out = []
+    for k in ordered:
+        try:
+            Contract(s0=s0, strike=k, maturity=big_t)
+        except ParamError as exc:
+            out.append((k, type(exc), str(exc)))
+        else:
+            out.append((k, None, None))
+    return out
+
+
+_ODD_STRIKES = [math.nan, np.float32("nan"), np.float64("nan"), math.inf,
+                -math.inf, np.float32("inf"), np.float64("-inf"), 0, 0.0,
+                -0.0, np.float32(0.0), -5, -5.0, np.float32(-5.0)]
+mixed_strikes = st.lists(st.one_of(
+    st.floats(50.0, 200.0), st.integers(50, 200),
+    st.floats(50.0, 200.0, width=32).map(np.float32),
+    st.floats(50.0, 200.0).map(np.float64),
+    st.sampled_from(_ODD_STRIKES),
+    # duplicates across types: 100, 100.0, np.float32(100.0), ...
+    st.sampled_from([100, 100.0, np.float32(100.0), np.float64(100.0)])),
+    min_size=1, max_size=8)
+spots = st.sampled_from([100.0, 100, math.nan, np.float32("nan"), math.inf,
+                         0.0, -1.0, 0])
+maturities = st.one_of(st.floats(0.1, 2.0), st.just(1),
+                       st.sampled_from([math.nan, math.inf, 0.0, -0.5, 0]))
+
+
+@pytest.mark.parametrize("smile", [price_smile, price_reference_smile])
+@settings(max_examples=60, deadline=None)
+@given(strikes=mixed_strikes, s0=spots, big_t=maturities)
+def test_smile_strike_mask_matches_per_strike_contracts(smile, strikes, s0,
+                                                        big_t):
+    """The smile pricers pair each strike, the same object in the same
+    place, with the error of its own Contract, type and message, or with
+    a price where the Contract is valid: floats, ints, np.float32 and
+    np.float64, NaN, inf, 0, negatives and duplicates, and an invalid s0
+    or T."""
+    params = make_params(nu=0.05, rho=-0.2)
+    want = _contract_pairs(s0, strikes, big_t)
+    got = smile(params, s0, strikes, big_t)
+    assert len(got) == len(want)
+    for (k, res), (want_k, want_type, want_msg) in zip(got, want):
+        assert k is want_k
+        if want_type is None:
+            assert not isinstance(res, Exception)
+            price = getattr(res, "price", res)
+            assert math.isfinite(price)
+            if smile is price_smile:
+                assert res == price_approx(
+                    params, Contract(s0=s0, strike=k, maturity=big_t))
+        else:
+            assert type(res) is want_type and str(res) == want_msg
+
+
+@pytest.mark.parametrize("smile", [price_smile, price_reference_smile])
+def test_smile_refuses_a_str_strike_as_its_contract_does(smile):
+    """A str strike, which numpy would read as a number, raises the
+    TypeError of its Contract."""
+    params = make_params(nu=0.05, rho=-0.2)
+    with pytest.raises(TypeError):
+        Contract(s0=100.0, strike="100", maturity=0.3)
+    with pytest.raises(TypeError):
+        smile(params, 100.0, ["100"], 0.3)
+
+
 def _paper_series(params, contract, mt):
     """(base, r0, u0 terms) as the paper sums them, term by term:
     p_n(lambda T) times gn_term's G_n and its two images, for n up to
@@ -313,6 +385,62 @@ def test_lognormal_truncation_bounds_dropped_base(law, lam_t, big_t, strike):
         res = price_approx(params, c, maturity_terms(params, big_t, tol=tol))
         dropped = full.base_term - res.base_term
         assert 0.0 <= dropped <= c.s0 * res.truncation.tail_mass
+
+
+merton_smiles = st.fixed_dictionaries({
+    "law": lognormal_laws,
+    # lambda (1 + k) T: the Merton series runs past numpy's pairwise
+    # block of 8 terms
+    "mean_jumps": st.floats(5.0, 40.0),
+    "big_t": st.floats(0.1, 5.0),
+    "strikes": st.lists(st.floats(50.0, 200.0), min_size=2, max_size=10,
+                        unique=True),
+    "order": st.randoms(use_true_random=False)})
+
+
+def _merton_params(case):
+    law = case["law"]
+    growth = 1.0 + jump_laws.compensator_k(JumpLaw(intensity=1.0, variant=law))
+    return _generic(law, case["mean_jumps"] / (growth * case["big_t"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=merton_smiles)
+def test_smile_entries_do_not_depend_on_the_other_strikes(case):
+    """Over a long Merton series, a strike's PriceResult is the same bits
+    in any smile that holds it: the whole smile, the strikes shuffled,
+    split in two, or alone, and price_approx of its Contract."""
+    params, big_t = _merton_params(case), case["big_t"]
+    strikes = case["strikes"]
+    whole = dict(price_smile(params, 100.0, strikes, big_t))
+    assert whole[strikes[0]].truncation.n_max >= 8
+    shuffled = list(strikes)
+    case["order"].shuffle(shuffled)
+    half = len(shuffled) // 2
+    for part in (shuffled, shuffled[:half], shuffled[half:]):
+        assert dict(price_smile(params, 100.0, part, big_t)) == {
+            k: whole[k] for k in part}
+    for k in strikes:
+        assert price_smile(params, 100.0, [k], big_t) == [(k, whole[k])]
+        c = Contract(s0=100.0, strike=k, maturity=big_t)
+        assert price_approx(params, c) == whole[k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=merton_smiles)
+def test_smile_base_term_never_drops_as_tol_shrinks(case):
+    """Over a long Merton series, a shorter tail tolerance adds terms and
+    never lowers any strike's base term."""
+    params, big_t = _merton_params(case), case["big_t"]
+    last = None
+    for tol in (1e-4, 1e-6, 1e-9, 1e-12, 1e-14):
+        mt = maturity_terms(params, big_t, tol=tol)
+        assert mt.truncation.n_max >= 8
+        base = [res.base_term for _, res in
+                price_smile(params, 100.0, case["strikes"], big_t, mt)]
+        if last is not None:
+            assert all(b >= a for a, b in zip(last, base))
+        last = base
 
 
 def test_loguniform_at_lambda_t_point_three_prices():

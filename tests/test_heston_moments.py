@@ -6,10 +6,10 @@ import pytest
 from scipy import integrate
 
 import _frozen as fz
+from _terms import expected_variance, phi
 from svj.errors import ParamError
 from svj.heston_moments import (HestonParams, avg_expected_variance_v0,
-                                expected_integrated_variance,
-                                expected_variance, phi, r0, u0)
+                                expected_integrated_variance, r0, u0)
 
 FIG1 = HestonParams(kappa=1.5, theta=0.2, nu=0.05, rho=-0.2, sigma0_sq=0.25)
 FIG3 = HestonParams(kappa=1.5, theta=0.2, nu=0.5, rho=-0.8, sigma0_sq=0.25)
