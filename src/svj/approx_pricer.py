@@ -27,9 +27,9 @@ three terms, and the Poisson series is never summed (_lewis_sums);
 maturity_terms still reports its Poisson(lambda T) truncation.
 
 All but the kernel evaluations depend on (params, T) alone, not on the
-strike: maturity_terms computes them once per maturity. The strike axis
-is one pass too. pair_strikes validates a smile's strikes with one numpy
-mask, building a Contract only for a refused strike, to give its error.
+strike: each smile builds them once (maturity_terms). The strike axis
+is one pass too. pair_strikes checks a smile's strikes by comparisons,
+building a Contract only for a refused strike, to give its error.
 For LogNormal amplitudes, price_smile evaluates the three kernels of
 every (term, strike) pair as numpy arrays (bs_kernel.pricer_kernels_arr),
 weights them by pi_n and adds each strike's terms in order, n = 0 first,
@@ -115,6 +115,7 @@ def maturity_terms(params: ModelParams, big_t: float,
     every term's shifted inputs at T."""
     if not (math.isfinite(big_t) and big_t > 0.0):
         raise ParamError(f"maturity must be finite and > 0, got {big_t}")
+    big_t = float(big_t)    # an np.float32 T would round every term to float32
     jumps = params.jumps
     v0 = heston_moments.avg_expected_variance_v0(params.heston, big_t)
     lognormal = isinstance(jumps.variant, LogNormal)
@@ -130,11 +131,6 @@ def maturity_terms(params: ModelParams, big_t: float,
                          u0=heston_moments.u0(params.heston, big_t),
                          r0=heston_moments.r0(params.heston, big_t),
                          truncation=trunc, vol=vol, rate=rate)
-
-
-def _check_terms(mt: MaturityTerms, params: ModelParams, big_t: float) -> None:
-    if mt.maturity != big_t or mt.params != params:
-        raise ParamError("maturity terms of other params or another maturity")
 
 
 def _price_strikes(mt: MaturityTerms, s0: float, strikes) -> list:
@@ -246,36 +242,26 @@ def _lewis_cutoff(law: JumpLaw, var_t: float, big_t: float) -> float:
 
 
 def price_approx(params: ModelParams, contract: Contract,
-                 mt: MaturityTerms = None) -> PriceResult:
+                 tol: float = jump_laws.DEFAULT_SERIES_TOL) -> PriceResult:
     """Three-term decomposition price; terms reported separately.
 
-    The one-strike case of price_smile's pass. mt defaults to
-    maturity_terms(params, contract.maturity).
+    The one-strike case of price_smile's pass; tol is the series tail
+    tolerance of maturity_terms.
     """
-    if mt is None:
-        mt = maturity_terms(params, contract.maturity)
-    else:
-        _check_terms(mt, params, contract.maturity)
+    mt = maturity_terms(params, contract.maturity, tol)
     return _price_strikes(mt, contract.s0, [contract.strike])[0]
 
 
-def price_smile(params: ModelParams, s0: float, strikes, big_t: float,
-                mt: MaturityTerms = None) -> list:
+def price_smile(params: ModelParams, s0: float, strikes, big_t: float) -> list:
     """price_approx across strikes of one maturity, in one pass.
 
     Returns a list of (strike, PriceResult | Exception), ascending
     strike. A strike that is no valid Contract gets its own ParamError;
-    a failure to build the terms (mt defaults to maturity_terms(params,
-    big_t)) is paired with every valid strike, and so is a failure of
-    the pass.
+    a failure to build the maturity's terms, or of the pass, is paired
+    with every valid strike.
     """
-    if mt is not None:
-        _check_terms(mt, params, big_t)
-
-    def price(valid):
-        terms = maturity_terms(params, big_t) if mt is None else mt
-        return _price_strikes(terms, s0, valid)
-    return pair_strikes(s0, strikes, big_t, price)
+    return pair_strikes(s0, strikes, big_t, lambda valid: _price_strikes(
+        maturity_terms(params, big_t), s0, valid))
 
 
 def pair_strikes(s0: float, strikes, big_t: float, price) -> list:
@@ -315,18 +301,13 @@ _FLOAT_TYPES = frozenset((float, int, np.float64, np.float32))
 
 
 def _strike_mask(s0, strikes, big_t) -> list:
-    """Per strike, whether Contract(s0, strike, T) is valid, from one
-    numpy mask of "finite and > 0". The mask tells exactly where s0 and
-    T are finite and > 0, and all of s0, T and the strikes are floats,
-    ints, np.float64 or np.float32 in the float range; elsewhere every
-    entry is None, and each strike's Contract must tell."""
+    """Per strike, whether Contract(s0, strike, T) is valid: 0 < strike <
+    inf, told exactly where s0 and T are finite and > 0 and all of s0, T
+    and the strikes are floats, ints, np.float64 or np.float32 (an int
+    beyond the float range is valid, and fails the pass's float array);
+    elsewhere every entry is None, and each strike's Contract must tell."""
     if (type(s0) in _FLOAT_TYPES and type(big_t) in _FLOAT_TYPES
             and 0.0 < s0 < math.inf and 0.0 < big_t < math.inf
             and _FLOAT_TYPES.issuperset(map(type, strikes))):
-        try:
-            values = np.array(strikes, dtype=float)
-        except OverflowError:       # an int beyond the float range
-            pass
-        else:
-            return (np.isfinite(values) & (values > 0.0)).tolist()
+        return [0.0 < k < math.inf for k in strikes]
     return [None] * len(strikes)

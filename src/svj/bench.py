@@ -20,10 +20,11 @@ import numpy as np
 
 # price_approx is not called here; it stays bound because
 # perfbench/layertrace.py wraps bench.price_approx by name
-from .approx_pricer import (Contract, MaturityTerms, ModelParams,
-                            price_approx, price_smile)  # noqa: F401
+from .approx_pricer import (Contract, ModelParams, price_approx,
+                            price_smile)  # noqa: F401
 from .errors import PRICING_ERRORS, ParamError
 from .heston_moments import HestonParams
+from .implied_vol import iv_smile_approx
 from .jump_laws import JumpLaw, Kou, LogNormal, LogUniform
 from .mc_oracle import McConfig, mc_price
 from .reference_pricer import (implied_vol_invert, price_reference,
@@ -118,21 +119,18 @@ class SmileRow:
         """"Type: message" of the first failure; empty on a clean row."""
         return next(iter(self.failures.values()), "")
 
-    def fill(self, column: str, compute) -> None:
-        """Set a cell to compute(), or record why that failed."""
-        try:
-            setattr(self, column, compute())
-        except PRICING_ERRORS as exc:
-            self.fail(column, exc)
-
     def fail(self, column: str, exc: Exception) -> None:
         self.failures[column] = f"{type(exc).__name__}: {exc}"
 
     def fill_iv(self, column: str, price: float, contract: Contract,
                 r: float) -> None:
-        """Invert price into an IV cell; a NaN (failed) price is skipped."""
+        """Invert price into an IV cell, or record why that failed; a NaN
+        (failed) price is skipped."""
         if not math.isnan(price):
-            self.fill(column, lambda: implied_vol_invert(price, contract, r))
+            try:
+                setattr(self, column, implied_vol_invert(price, contract, r))
+            except PRICING_ERRORS as exc:
+                self.fail(column, exc)
 
     @property
     def abs_error(self) -> float:
@@ -174,25 +172,30 @@ def _fmt(v: float) -> str:
 
 
 def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
-              with_iv: bool = False,
-              mt: MaturityTerms = None) -> SmileReport:
+              with_iv: bool = False, analytic: bool = False) -> SmileReport:
     """Price/IV rows for ascending strikes; a failed cell keeps its row.
 
     A strike that makes no valid Contract raises its ParamError before
     either leg prices. Each leg prices every strike in one call:
-    price_smile from mt (the maturity terms, as in price_smile), and
-    price_reference_smile from one shared Fourier integral.
+    price_reference_smile from one shared Fourier integral, and
+    price_smile, or with analytic iv_smile_approx, whose IVs fill
+    approx_iv and leave approx_price NaN. with_iv inverts the prices
+    there are into the IV columns.
     """
     contracts = sorted((Contract(s0=s0, strike=float(k), maturity=maturity)
                         for k in strikes), key=lambda c: c.strike)
     strikes = [c.strike for c in contracts]
+    approx_leg, column = ((iv_smile_approx, "approx_iv") if analytic
+                          else (price_smile, "approx_price"))
     rows = []
     for contract, (_, approx), (_, ref) in zip(
-            contracts, price_smile(params, s0, strikes, maturity, mt),
+            contracts, approx_leg(params, s0, strikes, maturity),
             price_reference_smile(params, s0, strikes, maturity)):
         row = SmileRow(strike=contract.strike, maturity=maturity)
         if isinstance(approx, Exception):
-            row.fail("approx_price", approx)
+            row.fail(column, approx)
+        elif analytic:
+            row.approx_iv = approx.iv_approx
         else:
             row.approx_price = approx.price
         if isinstance(ref, Exception):
@@ -200,7 +203,8 @@ def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
         else:
             row.ref_price = ref
         if with_iv:
-            row.fill_iv("approx_iv", row.approx_price, contract, params.r)
+            if not analytic:
+                row.fill_iv("approx_iv", row.approx_price, contract, params.r)
             row.fill_iv("ref_iv", row.ref_price, contract, params.r)
         rows.append(row)
     return SmileReport(rows=rows, with_iv=with_iv)

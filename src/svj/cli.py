@@ -14,9 +14,8 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .approx_pricer import Contract, maturity_terms, price_approx
-from .errors import PRICING_ERRORS, ParamError
-from .implied_vol import iv_surface_approx
+from .approx_pricer import Contract, price_approx
+from .errors import ParamError
 from .mc_oracle import McConfig
 
 MAX_STRIKES = 10_000  # longest start:stop:step range; at most one more is built
@@ -83,8 +82,7 @@ def _emit_rows(report, csv: str) -> int:
 def cmd_price(args) -> int:
     params, s0 = load_params(args.params, args.nu, args.rho)
     contract = Contract(s0=s0, strike=args.strike, maturity=args.maturity)
-    res = price_approx(params, contract,
-                       maturity_terms(params, args.maturity, args.tol))
+    res = price_approx(params, contract, tol=args.tol)
     _emit_json({
         "price": res.price,
         "base_term": res.base_term,
@@ -108,23 +106,9 @@ def cmd_smile(args) -> int:
 
 def cmd_iv(args) -> int:
     params, s0 = load_params(args.params, args.nu, args.rho)
-    mt = None
-    if args.analytic:
-        # one set of maturity terms for the smile and every analytic IV;
-        # if it cannot be built, run_smile pairs the failure with each row
-        try:
-            mt = maturity_terms(params, args.maturity)
-        except PRICING_ERRORS:
-            pass
     report = bench.run_smile(params, s0, parse_strikes(args.strikes),
-                             args.maturity, with_iv=not args.analytic, mt=mt)
-    if args.analytic:
-        for row in report.rows:
-            row.fill_iv("ref_iv", row.ref_price, Contract(
-                s0=s0, strike=row.strike, maturity=args.maturity), params.r)
-            if "approx_price" not in row.failures:
-                row.fill("approx_iv", lambda: iv_surface_approx(
-                    params, row.strike, args.maturity, s0, mt).iv_approx)
+                             args.maturity, with_iv=True,
+                             analytic=args.analytic)
     return _emit_rows(report, bench.rows_to_csv(
         report.rows, ["strike", "maturity", "approx_iv", "ref_iv",
                       "iv_abs_error"]))

@@ -11,8 +11,9 @@ with vega = d(BS)/dy at (x, v0) under the compensated rate r - lambda k.
 The operator mixtures are exactly the pricer's correction sums, so
 bs_price(x, iv) - price_approx reduces to the linearization remainder.
 
-iv_surface_approx and iv_atm_display read v0, u0, r0, the Merton
-weights and the shifted inputs from approx_pricer.maturity_terms. For
+iv_smile_approx takes a smile's correction sums from price_smile's one
+pass over one approx_pricer.maturity_terms; iv_atm_display reads the
+Merton weights and the shifted inputs from the same terms. For
 log-normal amplitudes each summand also has the closed form
 
     D_B1 = e^gamma / (vt T) (1 - d_+ / (vt sqrt(T)))
@@ -41,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bs_kernel, jump_laws
-from .approx_pricer import (Contract, MaturityTerms, ModelParams, maturity_terms,
-                           price_approx)
-from .errors import ParamError
+from .approx_pricer import (ModelParams, _price_strikes, maturity_terms,
+                           pair_strikes)
+from .errors import PRICING_ERRORS, ParamError
 from .jump_laws import LogNormal
 
 
@@ -57,23 +58,39 @@ class IvPoint:
     outside_validity: bool = False  # iv_approx <= 0: left the expansion regime
 
 
-def iv_surface_approx(params: ModelParams, strike: float, big_t: float,
-                      s0: float, mt: MaturityTerms = None) -> IvPoint:
-    """v0 plus the vega-normalized correction terms of the pricer.
-
-    mt defaults to maturity_terms(params, big_t), as in price_approx.
-    """
-    if mt is None:
+def iv_smile_approx(params: ModelParams, s0: float, strikes,
+                    big_t: float) -> list:
+    """v0 plus the vega-normalized correction terms of the pricer: a
+    list of (strike, IvPoint | Exception), paired as price_smile pairs
+    its prices, from its one pass. A strike whose vega or its division
+    fails keeps that failure alone."""
+    def corrections(valid):
         mt = maturity_terms(params, big_t)
-    res = price_approx(params, Contract(s0=s0, strike=strike, maturity=big_t),
-                       mt)
-    r_hat = params.r - params.jumps.intensity * jump_laws.compensator_k(params.jumps)
-    vega = bs_kernel.bs_vega(math.log(s0), mt.v0, strike, r_hat, big_t)
-    i1 = res.u0_term / vega
-    i2 = res.r0_term / vega
-    iv = mt.v0 + i1 + i2
-    return IvPoint(strike=strike, maturity=big_t, iv_approx=iv,
-                   i1_hat=i1, i2_hat=i2, outside_validity=iv <= 0.0)
+        x = math.log(s0)
+        r_hat = params.r - params.jumps.intensity * jump_laws.compensator_k(params.jumps)
+        out = []
+        for k, res in zip(valid.tolist(), _price_strikes(mt, s0, valid)):
+            try:
+                vega = bs_kernel.bs_vega(x, mt.v0, k, r_hat, mt.maturity)
+                i1, i2 = res.u0_term / vega, res.r0_term / vega
+            except PRICING_ERRORS as exc:
+                out.append(exc)
+            else:
+                out.append((mt.v0 + i1 + i2, i1, i2))
+        return out
+
+    return [(k, res if isinstance(res, Exception) else
+             IvPoint(k, big_t, *res, outside_validity=res[0] <= 0.0))
+            for k, res in pair_strikes(s0, strikes, big_t, corrections)]
+
+
+def iv_surface_approx(params: ModelParams, strike: float, big_t: float,
+                      s0: float) -> IvPoint:
+    """The one-strike case of iv_smile_approx; raises its failure."""
+    [(_, point)] = iv_smile_approx(params, s0, [strike], big_t)
+    if isinstance(point, Exception):
+        raise point
+    return point
 
 
 def iv_atm_approx(params: ModelParams, big_t: float, s0: float) -> IvPoint:

@@ -123,13 +123,11 @@ def price_reference_smile(params: ModelParams, s0: float, strikes,
     integration, with a component per strike at DEFAULT_REF_QUAD's
     tolerances, and its failure is paired with every valid strike.
     """
-    return pair_strikes(s0, strikes, big_t,
-                        lambda valid: _price_one_integral(params, s0, valid,
-                                                          big_t))
+    return pair_strikes(s0, strikes, big_t, lambda valid: _price_one_integral(
+        params, float(s0), valid, float(big_t)))
 
 
-def _in_money_probs(params, contract):
-    s0, strike, big_t = contract.s0, contract.strike, contract.maturity
+def _in_money_probs(params, s0, strike, big_t):
     x0 = math.log(s0)
     lnk = math.log(strike)
     norm = bates_char_fn(np.array([-1j]), params, big_t, x0)[0]  # = e^{x0 + rT}
@@ -150,13 +148,13 @@ def _in_money_probs(params, contract):
 def price_reference(params: ModelParams, contract: Contract,
                     method: str = "one-integral") -> float:
     """Semi-closed Fourier call price; method is one-integral or two-integral."""
+    s0, strike, big_t = (float(contract.s0), float(contract.strike),
+                         float(contract.maturity))
     if method == "one-integral":
-        return _price_one_integral(params, contract.s0, [float(contract.strike)],
-                                   contract.maturity)[0]
+        return _price_one_integral(params, s0, [strike], big_t)[0]
     if method == "two-integral":
-        p1, p2 = _in_money_probs(params, contract)
-        disc_k = contract.strike * math.exp(-params.r * contract.maturity)
-        return contract.s0 * p1 - disc_k * p2
+        p1, p2 = _in_money_probs(params, s0, strike, big_t)
+        return s0 * p1 - strike * math.exp(-params.r * big_t) * p2
     raise ParamError(f"unknown method {method!r}")
 
 
@@ -193,7 +191,8 @@ def implied_vol_invert(price: float, contract: Contract, r: float) -> float:
     no-arbitrage interval (intrinsic, spot) or outside the vol bracket,
     and NumericalError after IV_MAX_ITER steps.
     """
-    s0, strike, tau = contract.s0, contract.strike, contract.maturity
+    price, s0, strike, tau = (float(price), float(contract.s0),
+                              float(contract.strike), float(contract.maturity))
     x = math.log(s0)
     intrinsic = max(s0 - strike * math.exp(-r * tau), 0.0)
     if not intrinsic < price < s0:

@@ -1,18 +1,21 @@
 """Three-term decomposition pricer: reductions, identities, regressions."""
 import dataclasses
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _frozen as fz
 from _terms import gn_term
 from conftest import make_params
 from svj import bench, bs_kernel, heston_moments, jump_laws, quadrature
-from svj.approx_pricer import (Contract, ModelParams, maturity_terms,
-                               price_approx, price_smile)
+from svj.approx_pricer import (Contract, MaturityTerms, ModelParams,
+                               _price_strikes, maturity_terms, price_approx,
+                               price_smile)
 from svj.errors import (PRICING_ERRORS, DomainError, ParamError,
                         SeriesTruncationError)
 from svj.heston_moments import HestonParams
@@ -60,15 +63,32 @@ def test_smile_builds_maturity_terms_once(series_calls):
                             "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
 
 
-def test_mismatched_maturity_terms_are_refused():
+def test_no_public_callable_takes_maturity_terms():
+    """The strike-free terms stay inside the smile pass: nothing in
+    svj.__all__ takes a MaturityTerms, and neither it nor maturity_terms
+    is exported."""
+    import svj
+    assert not {"MaturityTerms", "maturity_terms"} & set(svj.__all__)
+    for name in svj.__all__:
+        obj = getattr(svj, name)
+        if not callable(obj):
+            continue
+        try:
+            sig = inspect.signature(obj)
+        except (TypeError, ValueError):      # no signature to inspect
+            continue
+        for param in sig.parameters.values():
+            assert param.annotation not in (MaturityTerms, "MaturityTerms"), \
+                f"{name}({param.name})"
+
+
+def test_float32_maturity_prices_as_a_float():
+    """An np.float32 maturity prices as its float value does; it once
+    carried float32 rounding into the series truncation, which then never
+    met its tolerance."""
     params = make_params(nu=0.05, rho=-0.2)
-    mt = maturity_terms(params, 0.3)
-    assert price_approx(params, ATM, mt) == price_approx(params, ATM)
-    with pytest.raises(ParamError):
-        price_approx(params, Contract(s0=100.0, strike=100.0, maturity=0.5),
-                     mt)
-    with pytest.raises(ParamError):
-        price_approx(make_params(nu=0.05, rho=-0.8), ATM, mt)
+    want = price_smile(params, 100.0, [90.0, 110.0], 0.25)
+    assert price_smile(params, 100.0, [90.0, 110.0], np.float32(0.25)) == want
 
 
 @pytest.mark.parametrize("lam, big_t, error", [
@@ -160,20 +180,29 @@ maturities = st.one_of(st.floats(0.1, 2.0), st.just(1),
 @pytest.mark.parametrize("smile", [price_smile, price_reference_smile])
 @settings(max_examples=60, deadline=None)
 @given(strikes=mixed_strikes, s0=spots, big_t=maturities)
+# an int strike beyond the float range is a valid Contract
+@example(strikes=[10**400, 100.0, -5], s0=100.0, big_t=0.3)
+@example(strikes=[np.float32("inf"), 90, np.float32(100.0)], s0=100.0,
+         big_t=0.3)
 def test_smile_strike_mask_matches_per_strike_contracts(smile, strikes, s0,
                                                         big_t):
     """The smile pricers pair each strike, the same object in the same
     place, with the error of its own Contract, type and message, or with
     a price where the Contract is valid: floats, ints, np.float32 and
     np.float64, NaN, inf, 0, negatives and duplicates, and an invalid s0
-    or T."""
+    or T. A valid strike beyond the float range fails the pass's float
+    array, and with it every valid strike."""
     params = make_params(nu=0.05, rho=-0.2)
     want = _contract_pairs(s0, strikes, big_t)
     got = smile(params, s0, strikes, big_t)
     assert len(got) == len(want)
+    overflow = any(t is None and type(k) is int and k > sys.float_info.max
+                   for k, t, _ in want)
     for (k, res), (want_k, want_type, want_msg) in zip(got, want):
         assert k is want_k
-        if want_type is None:
+        if want_type is None and overflow:
+            assert type(res) is OverflowError
+        elif want_type is None:
             assert not isinstance(res, Exception)
             price = getattr(res, "price", res)
             assert math.isfinite(price)
@@ -380,9 +409,9 @@ def test_lognormal_truncation_bounds_dropped_base(law, lam_t, big_t, strike):
     the base term by at most S0 tail_mass."""
     params = _generic(law, lam_t / big_t)
     c = Contract(s0=100.0, strike=strike, maturity=big_t)
-    full = price_approx(params, c, maturity_terms(params, big_t, tol=1e-13))
+    full = price_approx(params, c, tol=1e-13)
     for tol in (1e-4, 1e-6):
-        res = price_approx(params, c, maturity_terms(params, big_t, tol=tol))
+        res = price_approx(params, c, tol=tol)
         dropped = full.base_term - res.base_term
         assert 0.0 <= dropped <= c.s0 * res.truncation.tail_mass
 
@@ -436,8 +465,8 @@ def test_smile_base_term_never_drops_as_tol_shrinks(case):
     for tol in (1e-4, 1e-6, 1e-9, 1e-12, 1e-14):
         mt = maturity_terms(params, big_t, tol=tol)
         assert mt.truncation.n_max >= 8
-        base = [res.base_term for _, res in
-                price_smile(params, 100.0, case["strikes"], big_t, mt)]
+        base = [res.base_term for res in
+                _price_strikes(mt, 100.0, case["strikes"])]
         if last is not None:
             assert all(b >= a for a, b in zip(last, base))
         last = base

@@ -9,6 +9,7 @@ import svj.reference_pricer as reference_pricer
 from conftest import make_params
 from svj.approx_pricer import Contract, maturity_terms, price_approx
 from svj.errors import ParamError, QuadratureError
+from svj.implied_vol import iv_smile_approx
 from svj.mc_oracle import McConfig
 
 
@@ -88,6 +89,21 @@ def test_smile_builds_maturity_terms_once(series_calls):
     assert counts == {"truncate_series": 1, "poisson_pmf": n_max + 1,
                       "lognormal_shift": 1,
                       "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
+
+
+def test_analytic_smile_takes_ivs_from_the_surface(monkeypatch):
+    """With analytic, the approximation leg is one iv_smile_approx call:
+    approx_iv holds the surface's IVs and approx_price stays unpriced."""
+    params = make_params(nu=0.05, rho=-0.2)
+    strikes = [110.0, 90.0, 100.0]
+    monkeypatch.setattr(bench, "price_smile", None)     # never called
+    rep = bench.run_smile(params, 100.0, strikes, 0.3, with_iv=True,
+                          analytic=True)
+    assert rep.n_failed == 0
+    for row, (k, pt) in zip(rep.rows, iv_smile_approx(params, 100.0,
+                                                      strikes, 0.3)):
+        assert row.strike == k and row.approx_iv == pt.iv_approx
+        assert math.isnan(row.approx_price) and math.isfinite(row.ref_iv)
 
 
 def test_abs_error_recomputed_not_stored():
@@ -188,9 +204,9 @@ def test_approximation_method_prices_each_row_in_one_call(monkeypatch):
     price_approx's and a failed option counted once."""
     calls = []
 
-    def counted(params, s0, strikes, big_t, mt=None):
+    def counted(params, s0, strikes, big_t):
         calls.append(len(strikes))
-        out = smile(params, s0, strikes, big_t, mt)
+        out = smile(params, s0, strikes, big_t)
         if big_t == 1.0:
             out[2] = (out[2][0], QuadratureError("synthetic failure"))
         return out

@@ -6,11 +6,12 @@ import pytest
 
 from _terms import bates_gamma_n, d_b1, d_b2, gamma_n
 from conftest import make_params
-from svj import bs_kernel, heston_moments, jump_laws
+from svj import bench, bs_kernel, heston_moments, jump_laws
 from svj.approx_pricer import Contract, ModelParams, price_approx
-from svj.errors import ParamError
+from svj.errors import ParamError, SeriesTruncationError
 from svj.heston_moments import HestonParams
-from svj.implied_vol import iv_atm_approx, iv_atm_display, iv_surface_approx
+from svj.implied_vol import (iv_atm_approx, iv_atm_display, iv_smile_approx,
+                             iv_surface_approx)
 from svj.jump_laws import JumpLaw, Kou, LogNormal, compensator_k, gn_generic, lognormal_shift
 from svj.quadrature import QuadratureConfig
 
@@ -172,3 +173,65 @@ def test_bs_of_iv_gap_identity_with_jumps():
     gap = (bs_kernel.bs_price(x, iv, 100.0, r_hat, 0.3) - res.price)
     anchor = bs_kernel.bs_price(x, v0, 100.0, r_hat, 0.3) - res.base_term
     assert gap == pytest.approx(anchor, abs=1e-6)
+
+
+@pytest.mark.parametrize("params", [
+    *bench.sample_param_sets(5, seed=77),
+    make_params(nu=0.5, rho=-0.8),
+    make_params(nu=0.2, rho=-0.6, lam=0.0)])
+@pytest.mark.parametrize("big_t", [0.1, 2.0])
+def test_iv_smile_entries_are_the_one_strike_surface(params, big_t):
+    """Each iv_smile_approx entry is iv_surface_approx of its strike, bit
+    for bit, in ascending order, with the caller's strike object."""
+    strikes = [115.0, 70, 100.0, 90.0, 150.0]
+    got = iv_smile_approx(params, 100.0, strikes, big_t)
+    assert [k for k, _ in got] == sorted(strikes)
+    for k, pt in got:
+        assert pt == iv_surface_approx(params, k, big_t, 100.0)
+        assert pt.strike is k
+
+
+def test_iv_smile_refused_strike_gets_its_contract_error():
+    """A refused strike gets its Contract's ParamError, in the smile and
+    raised by the one-strike surface; the other strikes keep their IVs."""
+    params = make_params(nu=0.05, rho=-0.2)
+    with pytest.raises(ParamError) as contract_error:
+        Contract(s0=100.0, strike=-5.0, maturity=0.3)
+    out = iv_smile_approx(params, 100.0, [100.0, -5.0, 90.0], 0.3)
+    assert [k for k, _ in out] == [-5.0, 90.0, 100.0]
+    bad = out[0][1]
+    assert type(bad) is ParamError and str(bad) == str(contract_error.value)
+    assert all(math.isfinite(pt.iv_approx) for _, pt in out[1:])
+    with pytest.raises(ParamError, match=str(contract_error.value)):
+        iv_surface_approx(params, -5.0, 0.3, 100.0)
+
+
+def test_iv_smile_pairs_a_terms_failure_with_every_strike():
+    """lambda T = 500 is over the series cap: every valid strike gets the
+    SeriesTruncationError, K=-5 keeps its own ParamError."""
+    params = make_params(nu=0.05, rho=-0.2, lam=100.0)
+    out = iv_smile_approx(params, 100.0, [110.0, -5.0, 90.0], 5.0)
+    assert type(out[0][1]) is ParamError
+    assert all(type(exc) is SeriesTruncationError for _, exc in out[1:])
+
+
+def test_iv_smile_builds_maturity_terms_once(series_calls):
+    """Ten strikes of one maturity share one truncation, one
+    lognormal_shift call and one v0, u0, r0."""
+    params = make_params(nu=0.3, rho=-0.5, lam=0.5)
+    out = iv_smile_approx(params, 100.0, range(80, 130, 5), 2.0)
+    assert len(out) == 10
+    assert not any(isinstance(pt, Exception) for _, pt in out)
+    assert series_calls["truncate_series"] == 1
+    assert series_calls["lognormal_shift"] == 1
+    assert all(series_calls[m] == 1
+               for m in ("avg_expected_variance_v0", "u0", "r0"))
+
+
+def test_iv_smile_keeps_a_failed_vega_to_its_strike():
+    """Far out of the money the vega underflows to 0: that strike alone
+    gets the ZeroDivisionError."""
+    params = make_params(nu=0.05, rho=-0.2)
+    out = dict(iv_smile_approx(params, 100.0, [100.0, 1e6], 0.1))
+    assert type(out[1e6]) is ZeroDivisionError
+    assert out[100.0] == iv_surface_approx(params, 100.0, 0.1, 100.0)

@@ -281,6 +281,27 @@ def test_smile_matches_per_contract(case):
                 assert abs(price - want) <= 1e-10, (case, big_t, k)
 
 
+def test_float32_spot_and_strike_give_python_floats():
+    """An np.float32 s0 or strike prices as its float value on every
+    reference route and in the IV inversion: each result is a Python
+    float, bit-equal to the result for float inputs."""
+    params = make_params(nu=0.05, rho=-0.2)
+    s0, strikes = np.float32(100.0), [np.float32(90.0), np.float32(100.0)]
+    want = price_reference_smile(params, 100.0, [90.0, 100.0], 0.3)
+    got = price_reference_smile(params, s0, strikes, 0.3)
+    assert [type(v) for _, v in got] == [float, float]
+    assert [v for _, v in got] == [v for _, v in want]
+    c32 = Contract(s0=s0, strike=strikes[0], maturity=0.3)
+    c64 = Contract(s0=100.0, strike=90.0, maturity=0.3)
+    for method in ("one-integral", "two-integral"):
+        price = price_reference(params, c32, method=method)
+        assert type(price) is float
+        assert price == price_reference(params, c64, method=method)
+    iv = implied_vol_invert(want[0][1], c32, params.r)
+    assert type(iv) is float
+    assert iv == implied_vol_invert(want[0][1], c64, params.r)
+
+
 def test_one_strike_smile_is_price_reference():
     """price_reference's one-integral route is the one-strike case, bit
     for bit, on 240 contracts."""
