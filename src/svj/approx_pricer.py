@@ -80,6 +80,8 @@ class ModelParams:
 
     def __post_init__(self):
         check_finite(self)
+        # an np.float32 r would carry float32 arithmetic into every route
+        object.__setattr__(self, "r", float(self.r))
         if self.r < 0.0:
             raise ParamError(f"r must be >= 0, got {self.r}")
 

@@ -191,8 +191,9 @@ def implied_vol_invert(price: float, contract: Contract, r: float) -> float:
     no-arbitrage interval (intrinsic, spot) or outside the vol bracket,
     and NumericalError after IV_MAX_ITER steps.
     """
-    price, s0, strike, tau = (float(price), float(contract.s0),
-                              float(contract.strike), float(contract.maturity))
+    price, s0, strike, tau, r = (float(price), float(contract.s0),
+                                 float(contract.strike),
+                                 float(contract.maturity), float(r))
     x = math.log(s0)
     intrinsic = max(s0 - strike * math.exp(-r * tau), 0.0)
     if not intrinsic < price < s0:

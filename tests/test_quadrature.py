@@ -12,7 +12,7 @@ TIGHT = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=256)
 
 
 def test_polynomial_exact():
-    # a single 15-point panel integrates low-degree polynomials exactly
+    # every 15-point panel integrates low-degree polynomials exactly
     for deg in range(0, 13):
         res = gk15_adaptive(lambda x, d=deg: x ** d, 0.0, 2.0, TIGHT)
         exact = 2.0 ** (deg + 1) / (deg + 1)
@@ -56,20 +56,20 @@ def test_semi_infinite_gaussian():
 
 
 # (value, error estimate, evals, subdivisions) of the scalar engine on the
-# cases above, pinned bit for bit as float.hex
+# cases above, from its 16-piece start, pinned bit for bit as float.hex
 SCALAR_PINS = {
     "smooth": ((lambda x: np.exp(-x * x) * np.cos(3.0 * x)), -2.0, 3.0,
-               "0x1.77aca5a8378e8p-3", "0x1.dcd4400000000p-47", 405, 13),
+               "0x1.77aca5a8378e8p-3", "0x1.1042400000000p-48", 240, 0),
     "kink": ((lambda x: np.abs(x - 0.37)), -1.0, 1.0,
-             "0x1.230be0ded3041p+0", "0x1.a8d8714b68000p-45", 495, 16),
+             "0x1.230be0ded3044p+0", "0x1.a760714b68000p-45", 600, 12),
     "exp": ((lambda x: np.exp(x)), 0.0, 1.0,
-            "0x1.b7e151628aebdp+0", "0x1.9000000000000p-48", 15, 0),
+            "0x1.b7e151628aebcp+0", "0x1.b000000000000p-48", 240, 0),
 }
 SEMI_INFINITE_PINS = {
     "exponential": ((lambda x: np.exp(-x)),
-                    "0x1.fffffffffffe6p-1", "0x1.2da5445711a58p-47", 285, 9),
+                    "0x1.fffffffffffe5p-1", "0x1.87ca88ae234b0p-48", 300, 2),
     "gaussian": ((lambda x: np.exp(-x * x)),
-                 "0x1.c5bf891b4ef53p-1", "0x1.57e6a420deea5p-44", 255, 8),
+                 "0x1.c5bf891b4ef53p-1", "0x1.dd7520fc0cbf7p-47", 240, 0),
 }
 
 

@@ -1,7 +1,10 @@
 """Fourier reference pricer and IV inversion."""
 import cmath
 import dataclasses
+import json
 import math
+import pathlib
+import statistics
 import sys
 
 import numpy as np
@@ -14,7 +17,8 @@ import _frozen as fz
 from conftest import make_params
 from svj import bs_kernel, heston_moments, reference_pricer
 from svj.approx_pricer import Contract, ModelParams, price_approx
-from svj.bench import MATURITY_GRID, STRIKE_GRID, sample_param_sets
+from svj.bench import (MATURITY_GRID, STRIKE_GRID, params_from_dict,
+                       sample_param_sets)
 from svj.errors import (BracketError, NumericalError, ParamError,
                         QuadratureError)
 from svj.heston_moments import HestonParams
@@ -300,6 +304,49 @@ def test_float32_spot_and_strike_give_python_floats():
     iv = implied_vol_invert(want[0][1], c32, params.r)
     assert type(iv) is float
     assert iv == implied_vol_invert(want[0][1], c64, params.r)
+
+
+def test_float32_rate_prices_as_a_float():
+    """An np.float32 rate is stored as its float value, so both reference
+    routes and the IV inversion give bit for bit what a float rate gives;
+    it once carried float32 arithmetic into each of them (0.03125 is
+    exact in float32, yet the one-integral price moved by 1.8e-8)."""
+    p32 = make_params(nu=0.05, rho=-0.2, r=np.float32(0.03125))
+    p64 = make_params(nu=0.05, rho=-0.2, r=0.03125)
+    assert type(p32.r) is float and p32 == p64
+    c = Contract(s0=100.0, strike=90.0, maturity=0.3)
+    for method in ("one-integral", "two-integral"):
+        assert (price_reference(p32, c, method=method)
+                == price_reference(p64, c, method=method))
+    assert (price_reference_smile(p32, 100.0, [90.0, 110.0], 0.3)
+            == price_reference_smile(p64, 100.0, [90.0, 110.0], 0.3))
+    want = implied_vol_invert(12.0, c, 0.03125)
+    assert implied_vol_invert(12.0, c, p32.r) == want
+    assert implied_vol_invert(12.0, c, np.float32(0.03125)) == want
+
+
+FOOTNOTE = pathlib.Path(__file__).parents[1] / "params" / "paper_footnote.json"
+
+
+def test_smile_takes_few_refinement_rounds(monkeypatch):
+    """The one-integral smile calls the characteristic function once per
+    refinement round. From 16 equal starting pieces the footnote set's
+    smiles, over the four regimes and the bench maturities, take a median
+    of at most 3 rounds; from one starting interval they took 6."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls[-1] += 1
+        return bates_char_fn(*args, **kwargs)
+    monkeypatch.setattr(reference_pricer, "bates_char_fn", counted)
+    data = json.loads(FOOTNOTE.read_text())
+    for nu, rho in REGIMES:
+        params, s0 = params_from_dict(data, nu, rho)
+        for big_t in MATURITY_GRID:
+            calls.append(0)
+            price_reference_smile(params, s0, list(STRIKE_GRID), big_t)
+    assert len(calls) == 4 * len(MATURITY_GRID)
+    assert statistics.median(calls) <= 3, calls
 
 
 def test_one_strike_smile_is_price_reference():
