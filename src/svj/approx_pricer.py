@@ -24,7 +24,12 @@ with variance v0^2 and the same jumps, and Gamma2, LambdaGamma act on
 its integrand as the multipliers (u^2 + 1/4)^2 and -(iu + 1/2)(u^2 +
 1/4). One characteristic-function evaluation per node then yields all
 three terms, and the Poisson series is never summed (_lewis_sums);
-maturity_terms still reports its Poisson(lambda T) truncation.
+maturity_terms still reports its Poisson(lambda T) truncation. The
+integral over [0, U] is taken on u = U s^2, s in [0, 1]: the weight
+1/(u^2 + 1/4) has poles at u = +-i/2, a feature about 1/2 wide at u = 0
+whatever the cutoff U (13-37 on the generic_laws benchmark), and the
+map puts the first of gk15_adaptive's 16 starting pieces at width U/256
+there, in place of U/16, so one round of nodes resolves it.
 
 All but the kernel evaluations depend on (params, T) alone, not on the
 strike: each smile builds them once (maturity_terms). The strike axis
@@ -195,22 +200,33 @@ def _lewis_sums(mt: MaturityTerms, s0: float, strikes) -> tuple:
     D = d/dx acts as (iu + 1/2) and Gamma = D^2 - D as -(u^2 + 1/4):
     Gamma2 takes the weight -(u^2 + 1/4) in place of 1/(u^2 + 1/4), and
     LambdaGamma the weight (iu + 1/2). All strikes' three integrands
-    share one adaptive node set and one evaluation of phihat, on
-    [0, _lewis_cutoff].
+    share one adaptive node set and one evaluation of phihat.
+
+    The range [0, U], U = _lewis_cutoff, is integrated on u = U s^2 as
+    g(s) = f(U s^2) 2 U s over s in [0, 1]. The substitution is exact,
+    so the cutoff's tail bound holds unchanged. The feature of the
+    weight near u = 0 (its poles at +-i/2) has a fixed width, against a
+    U that grows as v0^2 T shrinks; equal pieces of [0, U] would take
+    2-4 rounds to bisect their first piece down to it, while equal
+    pieces of s meet it at width U/256 in the first round. The Jacobian
+    2 U s grows only where e^(-v0^2 T u^2 / 2) has already decayed.
     """
     big_t, law, r = mt.maturity, mt.params.jumps, mt.params.r
     strikes = np.array(strikes, dtype=float)
     kbar = (np.log(s0 / strikes) + r * big_t)[:, None]
     var_t = mt.v0 * mt.v0 * big_t
+    big_u = _lewis_cutoff(law, var_t, big_t)
 
-    def integrand(u):
+    def integrand(s):
+        u = big_u * s * s
         w = u * u + 0.25           # i z + z^2 at z = u - i/2
         phi = np.exp(-0.5 * var_t * w + jump_laws.jump_exponent(law, u - 0.5j, big_t))
         e = np.exp(1j * kbar * u) * phi
-        return np.concatenate([e.real / w, e.real * w, 0.5 * e.real - u * e.imag])
+        # du = 2 U s ds
+        return (np.concatenate([e.real / w, e.real * w, 0.5 * e.real - u * e.imag])
+                * (2.0 * big_u * s))
 
-    ints = quadrature.gk15_adaptive(integrand, 0.0, _lewis_cutoff(law, var_t, big_t),
-                                    _LEWIS_QUAD).value
+    ints = quadrature.gk15_adaptive(integrand, 0.0, 1.0, _LEWIS_QUAD).value
     n = len(strikes)
     c = np.sqrt(s0 * strikes) * math.exp(-0.5 * r * big_t) / math.pi
     return s0 - c * ints[:n], -c * ints[n:2 * n], c * ints[2 * n:]
@@ -225,9 +241,11 @@ def _lewis_cutoff(law: JumpLaw, var_t: float, big_t: float) -> float:
     factor, since |Psi(u - i/2)| <= E e^(Y/2). For u >= 1 each weight
     is at most u^2 + 5/4, and int_U^inf (u^2 + c) e^(-a u^2) du <=
     (U^2 + 1/a + c) e^(-a U^2) / (2 a U). A finite range keeps the
-    adaptive width-shares on the u axis: the map of
-    integrate_semi_infinite crowds a wide law's oscillations near s = 0
-    and needs ~8x the subintervals.
+    nodes where the integrand lives: the map of integrate_semi_infinite
+    crowds a wide law's oscillations near s = 0 and needs ~8x the
+    subintervals. _lewis_sums integrates [0, U] on u = U s^2, which
+    refines only near u = 0, where the weight's poles at +-i/2 set a
+    width that does not scale with U.
     """
     a = 0.5 * var_t
     lam_t = law.intensity * big_t

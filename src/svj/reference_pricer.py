@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from . import bs_kernel
+from . import bs_kernel, heston_moments
 from .approx_pricer import Contract, ModelParams, pair_strikes
 from .errors import BracketError, NumericalError, ParamError
 from .jump_laws import jump_exponent
@@ -76,8 +76,7 @@ def bates_char_fn(u, params: ModelParams, big_t: float, x0: float = 0.0):
 
     if h.nu <= _NU_FLOOR:
         # deterministic variance: Gaussian with integrated variance v0^2 T
-        iv = (h.theta * big_t
-              + (h.sigma0_sq - h.theta) * (1.0 - math.exp(-h.kappa * big_t)) / h.kappa)
+        iv = heston_moments.expected_integrated_variance(h, big_t)
         heston_part = -0.5 * (iu + u * u) * iv
     else:
         nu2 = h.nu * h.nu

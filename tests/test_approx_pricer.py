@@ -565,3 +565,56 @@ def test_generic_smile_is_one_quadrature(monkeypatch):
     assert len(out) == 10
     assert all(math.isfinite(res.price) for _, res in out)
     assert calls == {"gk15_adaptive": 1, "gn_generic": 0}
+
+
+def test_generic_integrations_take_one_round(monkeypatch):
+    """On u = U s^2 the first 16 pieces resolve the Lewis weight's poles
+    at u = +-i/2: every Kou and LogUniform integration of this panel
+    meets its tolerance in one round, one call of its integrand."""
+    rounds = []
+    original = quadrature.gk15_adaptive
+
+    def wrapped(f, a, b, config):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return f(x)
+        res = original(counted, a, b, config)
+        rounds.append(calls[0])
+        return res
+    monkeypatch.setattr(quadrature, "gk15_adaptive", wrapped)
+
+    laws = [JumpLaw(0.45, Kou(p=0.4, eta1=10.0, eta2=5.0)),
+            JumpLaw(0.25, Kou(p=0.3, eta1=4.0, eta2=3.0)),
+            JumpLaw(0.1, Kou(p=0.6, eta1=20.0, eta2=10.0)),
+            JumpLaw(0.5, Kou(p=0.7, eta1=3.0, eta2=2.0)),
+            JumpLaw(0.3, LogUniform(a=-0.3, b=0.2)),
+            JumpLaw(0.03, LogUniform(a=-0.1, b=0.05)),
+            JumpLaw(0.02, LogUniform(a=-0.4, b=0.3))]
+    for law in laws:
+        for nu, rho in ((0.05, -0.2), (0.5, -0.8)):
+            heston = dataclasses.replace(FOOTNOTE_HESTON, nu=nu, rho=rho)
+            params = ModelParams(heston=heston, jumps=law, r=0.001)
+            for big_t in (0.25, 0.5, 1.0, 2.0):
+                out = price_smile(params, 100.0, [80.0, 100.0, 125.0], big_t)
+                assert all(math.isfinite(res.price) for _, res in out)
+    assert rounds == [1] * 56
+
+
+@pytest.mark.parametrize("variant", [Kou(p=0.4, eta1=10.0, eta2=5.0),
+                                     Kou(p=0.9, eta1=1.05, eta2=2.0),
+                                     LogUniform(a=-0.3, b=0.2),
+                                     LogUniform(a=-1.0, b=0.0)])
+@pytest.mark.parametrize("lam_t", [10.0, 50.0, 100.0])
+def test_generic_laws_exact_at_large_lambda_t(variant, lam_t):
+    """At nu = 0 the Lewis route is the Fourier reference of the same
+    model for lambda T far past the Hypothesis test's 5, still below the
+    Poisson series cap of maturity_terms."""
+    heston = dataclasses.replace(FOOTNOTE_HESTON, nu=0.0)
+    for big_t in (0.1, 1.0, 5.0):
+        params = _generic(variant, lam_t / big_t, heston)
+        for strike in (80.0, 100.0, 125.0):
+            c = Contract(s0=100.0, strike=strike, maturity=big_t)
+            assert price_approx(params, c).price == pytest.approx(
+                price_reference(params, c), rel=0, abs=1e-9)
