@@ -17,7 +17,9 @@ amplitudes the mixture has the closed form
 and c_n T = -lambda k T + n ln(1 + k) makes p_n(lambda T) e^(c_n T) the
 Poisson(lambda (1 + k) T) pmf pi_n: Merton's (1976) series, cut where
 its tail mass is <= tol, so that with bs_price <= S0 the dropped part
-of the base term is at most tol S0.
+of the base term is at most tol S0. jump_laws.truncate_series gives the
+cut and the pi_n as one array (MaturityTerms.weights), with each tail
+summed from the top, for any lambda T up to a memory guard.
 For Kou and LogUniform amplitudes the three sums are Fourier integrals
 instead: sum_n p_n G_n is the Lewis (2001) price of the nu = 0 model
 with variance v0^2 and the same jumps, and Gamma2, LambdaGamma act on
@@ -103,32 +105,35 @@ class PriceResult:
 @dataclass(frozen=True, slots=True, eq=False)
 class MaturityTerms:
     """Strike-free inputs at one (params, T). LogNormal laws: truncation
-    of Poisson(lambda (1+k) T), whose weights pi_n multiply the kernels
-    at the read-only shifted inputs vol[n], rate[n]. Other laws: the
-    Poisson(lambda T) truncation, reported only; vol and rate are None."""
+    of Poisson(lambda (1+k) T), whose read-only weights pi_n multiply the
+    kernels at the read-only shifted inputs vol[n], rate[n]. Other laws:
+    the Poisson(lambda T) truncation and weights, reported only; vol and
+    rate are None."""
     params: ModelParams
     maturity: float
     v0: float
     u0: float
     r0: float
     truncation: SeriesTruncation
+    weights: np.ndarray
     vol: np.ndarray = None
     rate: np.ndarray = None
 
 
 def maturity_terms(params: ModelParams, big_t: float,
                    tol: float = jump_laws.DEFAULT_SERIES_TOL) -> MaturityTerms:
-    """v0, u0, r0, the series truncation and, for LogNormal amplitudes,
-    every term's shifted inputs at T."""
+    """v0, u0, r0, the series truncation and weights and, for LogNormal
+    amplitudes, every term's shifted inputs at T."""
     if not (math.isfinite(big_t) and big_t > 0.0):
         raise ParamError(f"maturity must be finite and > 0, got {big_t}")
     big_t = float(big_t)    # an np.float32 T would round every term to float32
     jumps = params.jumps
-    v0 = heston_moments.avg_expected_variance_v0(params.heston, big_t)
     lognormal = isinstance(jumps.variant, LogNormal)
     # p_n(lambda T) e^(c_n T) = pi_n, the Poisson(lambda (1+k) T) pmf
     growth = 1.0 + jump_laws.compensator_k(jumps) if lognormal else 1.0
-    trunc = jump_laws.truncate_series(jumps.intensity * growth * big_t, tol)
+    trunc, weights = jump_laws.truncate_series(
+        jumps.intensity * growth * big_t, tol)
+    v0 = heston_moments.avg_expected_variance_v0(params.heston, big_t)
     vol = rate = None
     if lognormal:
         vol, rate = jump_laws.lognormal_shift(np.arange(trunc.n_max + 1),
@@ -137,7 +142,8 @@ def maturity_terms(params: ModelParams, big_t: float,
     return MaturityTerms(params=params, maturity=big_t, v0=v0,
                          u0=heston_moments.u0(params.heston, big_t),
                          r0=heston_moments.r0(params.heston, big_t),
-                         truncation=trunc, vol=vol, rate=rate)
+                         truncation=trunc, weights=weights, vol=vol,
+                         rate=rate)
 
 
 def _price_strikes(mt: MaturityTerms, s0: float, strikes) -> list:
@@ -164,7 +170,7 @@ def _price_strikes(mt: MaturityTerms, s0: float, strikes) -> list:
             mt.rate, big_t)
         # (3, strikes, terms), summed over the terms
         base, g2, lg = (np.array((bs, g2, lg))
-                        * mt.truncation.weights).cumsum(-1)[..., -1]
+                        * mt.weights).cumsum(-1)[..., -1]
     else:
         bs_kernel.check_nondegenerate(mt.v0, big_t)
         base, g2, lg = _lewis_sums(mt, s0, strikes)

@@ -112,7 +112,7 @@ def iv_atm_display(params: ModelParams, big_t: float, s0: float) -> float:
     vt2 = vt * vt
     g_atm = -0.5 * (c_n * big_t + c_n * c_n * big_t / vt2)
     # with Merton's pi_n = p_n e^(c_n T): pi_n e^(gamma_n - c_n T) = p_n e^gamma_n
-    w = np.array(mt.truncation.weights) * np.exp(g_atm - c_n * big_t) / (vt * big_t)
+    w = mt.weights * np.exp(g_atm - c_n * big_t) / (vt * big_t)
     s1 = w * (0.5 - c_n / vt2)
     s2 = w * (0.25 + 1.0 / (vt2 * big_t) - c_n * c_n / (vt2 * vt2))
     return mt.v0 + mt.u0 * math.fsum(s1) - mt.r0 * math.fsum(s2)

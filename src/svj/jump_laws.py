@@ -7,12 +7,11 @@ Three amplitude laws for the compound-Poisson jump J_t = sum Y_i:
                                down -Exp(eta2) w.p. q = 1-p; eta1 > 1
     LogUniform(a, b)           Y ~ U[a, b]
 
-Provides the Poisson weights p_n(lambda T), series truncation, the
-compensator k = E(e^Y - 1), characteristic functions E(e^{iuY}) and the
-compensated jump exponent lambda T (Psi(u) - 1) - iu lambda k T that the
-Fourier routes share (jump_exponent), the n-fold convolution densities
-of Y (closed forms for Kou and LogUniform), and the generic mixture
-integral
+Provides the Poisson series truncation and weights, the compensator
+k = E(e^Y - 1), characteristic functions E(e^{iuY}) and the compensated
+jump exponent lambda T (Psi(u) - 1) - iu lambda k T that the Fourier
+routes share (jump_exponent), the n-fold convolution densities of Y
+(closed forms for Kou and LogUniform), and the generic mixture integral
 
     gn_generic = E[ bs_price(0, x + J_n, v0) ]   at rate r_eff,
 
@@ -25,6 +24,11 @@ LogUniform mixtures by one Fourier integral per maturity
 densities are off the pricing path: they stay as an independent
 cross-check of both routes. The Irwin-Hall sum behind the LogUniform
 density cancels for n >= 9, so that check holds only at small lambda T.
+
+truncate_series builds the Poisson weights as one log-space array, up to
+an end that Bernstein's bound proves carries under tol eps of mass, and
+sums the tails from the top, so a tail is accurate relative to itself
+at any tol and lambda T; its only cap, N_MAX_CAP terms, guards memory.
 """
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from . import bs_kernel
 from .errors import ParamError, SeriesTruncationError, check_finite
@@ -108,15 +113,14 @@ class JumpLaw:
 
 @dataclass(frozen=True, slots=True)
 class SeriesTruncation:
-    """Where the Poisson series stops, and its weights p_0 .. p_{n_max}."""
+    """Where the Poisson series stops: n_max and the mass past it."""
     n_max: int
     tail_mass: float
     tolerance: float
-    weights: tuple
 
 
 def poisson_pmf(n: int, lambda_t: float) -> float:
-    """e^(-lt) lt^n / n!, evaluated in log space."""
+    """e^(-lt) lt^n / n!, in log space; a test oracle, off the pricing path."""
     if n < 0:
         raise ParamError(f"n must be >= 0, got {n}")
     if lambda_t < 0.0:
@@ -127,38 +131,39 @@ def poisson_pmf(n: int, lambda_t: float) -> float:
 
 
 DEFAULT_SERIES_TOL = 1e-12
-N_MAX_CAP = 200
+N_MAX_CAP = 100_000
 _EPS = sys.float_info.epsilon
 
 
-def truncate_series(lambda_t: float,
-                    tol: float = DEFAULT_SERIES_TOL) -> SeriesTruncation:
-    """Smallest n_max whose Poisson tail mass is <= tol.
+def truncate_series(lambda_t: float, tol: float = DEFAULT_SERIES_TOL) -> tuple:
+    """(SeriesTruncation, read-only weights p_0 .. p_n_max): the least
+    n_max whose Poisson(lambda_T) tail mass is <= tol.
 
-    The pmf values summed on the way are returned as the series weights,
-    so a pricer never evaluates them a second time. The tail at n is
-    1 - math.fsum of the weights so far. 1 minus a running float sum
-    screens it in O(1) per term, as the two differ by at most (n + 3)
-    half-ulps of 1 (n roundings of the running sum, one of fsum, one of
-    each subtraction). Only an n whose screened tail is within (n + 3)
-    ulps of tol pays for the O(n) fsum, so n_max, the tail and the
-    weights are those of an fsum at every n.
+    Bernstein's bound P(N >= mu + t) <= exp(-t^2 / (2 (mu + t/3))) is
+    tol eps at t = L/3 + sqrt(L^2/9 + 2 mu L), L = -ln(tol eps), so the
+    pmf, in log space (xlogy: 0 ln 0 = 0) up to N_hi = floor(mu + t) + 1,
+    misses under tol eps of mass. The tails are one reversed cumsum,
+    small terms first, so each is accurate relative to itself. N_hi >
+    N_MAX_CAP raises SeriesTruncationError before any array is built:
+    the cap guards memory, not accuracy.
     """
-    if not 0.0 < tol < 1.0:
-        raise ParamError(f"tol must be in (0, 1), got {tol}")
-    pmf = []
-    running = 0.0
-    for n in range(N_MAX_CAP + 1):
-        pmf.append(poisson_pmf(n, lambda_t))
-        running += pmf[-1]
-        if 1.0 - running > tol + (n + 3) * _EPS:
-            continue
-        tail = 1.0 - math.fsum(pmf)
-        if tail <= tol:
-            return SeriesTruncation(n_max=n, tail_mass=max(0.0, tail),
-                                    tolerance=tol, weights=tuple(pmf))
-    raise SeriesTruncationError(
-        f"Poisson tail above {tol} after {N_MAX_CAP} terms (lambda_T={lambda_t})")
+    if not (0.0 < tol < 1.0 and lambda_t >= 0.0):
+        raise ParamError(f"need 0 < tol < 1 and lambda_T >= 0, "
+                         f"got tol={tol}, lambda_T={lambda_t}")
+    big_l = -math.log(tol) - math.log(_EPS)
+    reach = lambda_t + big_l / 3.0 + math.sqrt(big_l * big_l / 9.0
+                                               + 2.0 * lambda_t * big_l)
+    if not reach < N_MAX_CAP:   # N_hi = floor(reach) + 1 <= N_MAX_CAP
+        raise SeriesTruncationError(
+            f"Poisson series needs over {N_MAX_CAP} terms (lambda_T={lambda_t})")
+    n = np.arange(int(reach) + 2.0)
+    pmf = np.exp(xlogy(n, lambda_t) - lambda_t - gammaln(n + 1.0))
+    tails = pmf[:0:-1].cumsum()     # sum_{j > n} p_j for n = N_hi - 1 .. 0
+    k = int(tails.searchsorted(tol, "right"))   # >= 1: tails[0] <= tol eps
+    n_max = len(tails) - k                      # the n whose tail is > tol
+    pmf.flags.writeable = False     # and so is each view of it
+    return (SeriesTruncation(n_max=n_max, tail_mass=float(tails[k - 1]),
+                             tolerance=tol), pmf[:n_max + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -39,14 +39,13 @@ def test_footnote_atm_regression():
 
 
 def test_series_is_walked_once(series_calls):
-    """One truncation, whose pmf values are the weights; one
-    lognormal_shift call for all terms; one v0, u0, r0."""
+    """One truncation, which builds the weights as one array (no
+    poisson_pmf call); one lognormal_shift call for all terms; one v0,
+    u0, r0."""
     params = make_params(nu=0.3, rho=-0.5, lam=0.5)
     res = price_approx(params, Contract(s0=100.0, strike=90.0, maturity=2.0))
     assert res.truncation.n_max > 5
-    assert series_calls == {"truncate_series": 1,
-                            "poisson_pmf": res.truncation.n_max + 1,
-                            "lognormal_shift": 1,
+    assert series_calls == {"truncate_series": 1, "lognormal_shift": 1,
                             "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
 
 
@@ -56,10 +55,8 @@ def test_smile_builds_maturity_terms_once(series_calls):
     params = make_params(nu=0.3, rho=-0.5, lam=0.5)
     out = price_smile(params, 100.0, [float(k) for k in range(80, 130, 5)],
                       2.0)
-    n_max = out[0][1].truncation.n_max
-    assert len(out) == 10 and n_max > 5
-    assert series_calls == {"truncate_series": 1, "poisson_pmf": n_max + 1,
-                            "lognormal_shift": 1,
+    assert len(out) == 10 and out[0][1].truncation.n_max > 5
+    assert series_calls == {"truncate_series": 1, "lognormal_shift": 1,
                             "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
 
 
@@ -92,7 +89,8 @@ def test_float32_maturity_prices_as_a_float():
 
 
 @pytest.mark.parametrize("lam, big_t, error", [
-    (100.0, 5.0, SeriesTruncationError),  # lambda T = 500: over the series cap
+    # lambda T = 5e5: past the series' memory guard, N_MAX_CAP terms
+    (1e5, 5.0, SeriesTruncationError),
     (0.05, 0.0, ParamError)])
 def test_smile_pairs_every_strike_with_a_terms_failure(lam, big_t, error):
     """Every valid strike gets the terms failure; K=-5 keeps its own
@@ -401,7 +399,7 @@ def test_generic_laws_exact_at_zero_volofvol(variant, lam_t, big_t, kappa,
 
 
 @settings(max_examples=400, deadline=None)
-@given(law=lognormal_laws, lam_t=st.floats(0.0, 5.0),
+@given(law=lognormal_laws, lam_t=st.floats(0.0, 300.0),
        big_t=st.floats(0.1, 5.0), strike=st.floats(50.0, 200.0))
 def test_lognormal_truncation_bounds_dropped_base(law, lam_t, big_t, strike):
     """Each term of the Merton series is pi_n times a call price <= S0, so
@@ -536,10 +534,9 @@ def test_generic_laws_build_no_term_inputs(series_calls, variant):
     no vol or rate arrays."""
     params = _generic(variant, 0.5)
     out = price_smile(params, 100.0, [90.0, 100.0, 110.0], 2.0)
-    n_max = out[0][1].truncation.n_max
-    assert series_calls == {"truncate_series": 1, "poisson_pmf": n_max + 1,
+    assert series_calls == {"truncate_series": 1,
                             "avg_expected_variance_v0": 1, "u0": 1, "r0": 1}
-    assert out[0][1].truncation == jump_laws.truncate_series(0.5 * 2.0)
+    assert out[0][1].truncation == jump_laws.truncate_series(0.5 * 2.0)[0]
     mt = maturity_terms(params, 2.0)
     assert mt.vol is None and mt.rate is None
 
@@ -605,12 +602,14 @@ def test_generic_integrations_take_one_round(monkeypatch):
 @pytest.mark.parametrize("variant", [Kou(p=0.4, eta1=10.0, eta2=5.0),
                                      Kou(p=0.9, eta1=1.05, eta2=2.0),
                                      LogUniform(a=-0.3, b=0.2),
-                                     LogUniform(a=-1.0, b=0.0)])
-@pytest.mark.parametrize("lam_t", [10.0, 50.0, 100.0])
+                                     LogUniform(a=-1.0, b=0.0),
+                                     LogNormal(mu_j=-0.05, sigma_j=0.1),
+                                     LogNormal(mu_j=0.0171, sigma_j=0.299)])
+@pytest.mark.parametrize("lam_t", [10.0, 50.0, 100.0, 150.0, 300.0])
 def test_generic_laws_exact_at_large_lambda_t(variant, lam_t):
-    """At nu = 0 the Lewis route is the Fourier reference of the same
-    model for lambda T far past the Hypothesis test's 5, still below the
-    Poisson series cap of maturity_terms."""
+    """At nu = 0 the decomposition is the Fourier reference of the same
+    model for lambda T far past the Hypothesis test's 5: the Lewis route
+    for Kou and LogUniform, Merton's series for LogNormal."""
     heston = dataclasses.replace(FOOTNOTE_HESTON, nu=0.0)
     for big_t in (0.1, 1.0, 5.0):
         params = _generic(variant, lam_t / big_t, heston)

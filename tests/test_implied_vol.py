@@ -207,9 +207,9 @@ def test_iv_smile_refused_strike_gets_its_contract_error():
 
 
 def test_iv_smile_pairs_a_terms_failure_with_every_strike():
-    """lambda T = 500 is over the series cap: every valid strike gets the
-    SeriesTruncationError, K=-5 keeps its own ParamError."""
-    params = make_params(nu=0.05, rho=-0.2, lam=100.0)
+    """lambda T = 5e5 is past the series' memory guard: every valid strike
+    gets the SeriesTruncationError, K=-5 keeps its own ParamError."""
+    params = make_params(nu=0.05, rho=-0.2, lam=1e5)
     out = iv_smile_approx(params, 100.0, [110.0, -5.0, 90.0], 5.0)
     assert type(out[0][1]) is ParamError
     assert all(type(exc) is SeriesTruncationError for _, exc in out[1:])

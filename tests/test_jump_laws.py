@@ -1,18 +1,19 @@
 """Jump amplitude laws: compensators, pmf series, n-fold densities, G_n."""
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import pdtrc
 
 import _frozen as fz
 from svj import bs_kernel
 from svj.errors import ParamError, SeriesTruncationError
 from svj.jump_laws import (N_MAX_CAP, JumpLaw, Kou, LogNormal, LogUniform,
-                           SeriesTruncation, compensator_k,
-                           convolution_density, gn_generic, jump_char_fn,
-                           jump_support, lognormal_shift, poisson_pmf,
-                           truncate_series)
+                           compensator_k, convolution_density, gn_generic,
+                           jump_char_fn, jump_support, lognormal_shift,
+                           poisson_pmf, truncate_series)
 from svj.quadrature import QuadratureConfig
 
 LN = JumpLaw(intensity=0.05, variant=LogNormal(mu_j=-0.05, sigma_j=0.5))
@@ -46,70 +47,62 @@ def test_poisson_pmf_vs_scipy():
 
 def test_truncation_tail_bound():
     for lam_t in (0.015, 0.5, 3.0, 25.0):
-        tr = truncate_series(lam_t, tol=1e-12)
+        tr, _ = truncate_series(lam_t, tol=1e-12)
         cum = math.fsum(poisson_pmf(n, lam_t) for n in range(tr.n_max + 1))
         assert 1.0 - cum <= 1e-12
         assert tr.tail_mass <= 1e-12
 
 
+def _log_space_rel_err(n, lam_t):
+    """Twice the size of the exponent n ln(lambda_T) - lambda_T - ln n!
+    times eps: a bound on the relative rounding error of a pmf value
+    taken in log space, hence of a tail summed from such values."""
+    size = n * abs(math.log(lam_t)) + lam_t + math.lgamma(n + 1)
+    return 2.0 * sys.float_info.epsilon * size
+
+
 def test_truncation_weights_are_the_pmf():
-    for lam_t in (0.0, 0.015, 0.5, 3.0, 25.0):
-        tr = truncate_series(lam_t)
-        assert tr.weights == tuple(poisson_pmf(n, lam_t)
-                                   for n in range(tr.n_max + 1))
-    assert truncate_series(0.0).weights == (1.0,)
+    """The weights are p_0 .. p_n_max, read-only; math.lgamma and
+    scipy's gammaln may round ln n! apart by an ulp or two, which at
+    lambda_T = 25 (n up to 68, ln n! ~ 220) is 5.7e-14 relative."""
+    for lam_t in (0.015, 0.5, 3.0, 25.0):
+        tr, weights = truncate_series(lam_t)
+        assert not weights.flags.writeable
+        assert len(weights) == tr.n_max + 1
+        for n, w in enumerate(weights):
+            rel = max(1e-14, _log_space_rel_err(n, lam_t))
+            assert w == pytest.approx(poisson_pmf(n, lam_t), abs=0, rel=rel)
+    tr, weights = truncate_series(0.0)
+    assert (tr.n_max, tr.tail_mass) == (0, 0.0) and weights.tolist() == [1.0]
 
 
 def test_truncation_cap_raises():
+    """N_MAX_CAP guards memory: a series that would need more terms is
+    refused before any array is built, at lambda_T = 1e5."""
     with pytest.raises(SeriesTruncationError):
-        truncate_series(500.0, tol=1e-12)
+        truncate_series(float(N_MAX_CAP), tol=1e-12)
+    with pytest.raises(ParamError):
+        truncate_series(-1.0)
 
 
-def _truncate_series_by_prefix_sums(lambda_t, tol=1e-12, cap=N_MAX_CAP):
-    """truncate_series's definition, O(n^2): 1 - fsum over the whole
-    prefix at each n."""
-    pmf = []
-    for n in range(cap + 1):
-        pmf.append(poisson_pmf(n, lambda_t))
-        tail = 1.0 - math.fsum(pmf)
-        if tail <= tol:
-            return SeriesTruncation(n_max=n, tail_mass=max(0.0, tail),
-                                    tolerance=tol, weights=tuple(pmf))
-    raise SeriesTruncationError(f"cap {cap} reached")
-
-
-def _truncation_or_error(truncate, lambda_t, tol):
-    try:
-        return truncate(lambda_t, tol)
-    except SeriesTruncationError:
-        return SeriesTruncationError
-
-
-def test_truncation_is_its_prefix_sum_definition_bit_for_bit():
-    """The screened running sum gives every tail, n_max and weight the
-    O(n^2) definition gives, over lambda_T up to the cap, at tolerances
-    from 0.5 down to a few ulps (where the screen passes every n to
-    fsum), and on both sides of the lambda_T where SeriesTruncationError
-    starts."""
+def test_truncation_matches_the_poisson_survival_function():
+    """Against scipy's pdtrc(n, mu) = P(N > n), over mu from 0 to 1000,
+    far past the old 200-term cap, and tolerances from 0.5 down to 1e-15,
+    about 4.5 eps: n_max is the least n whose tail is <= tol, and
+    tail_mass is that tail. Both hold within the rounding of the
+    log-space pmf, ~1e-12 relative at mu = 1000 and ~1e-15 near mu = 1."""
     for tol in (0.5, 1e-6, 1e-9, 1e-12, 1e-15):
-        for lam_t in np.linspace(0.0, 150.0, 301):
-            lam_t = float(lam_t)
-            assert (_truncation_or_error(truncate_series, lam_t, tol)
-                    == _truncation_or_error(_truncate_series_by_prefix_sums,
-                                            lam_t, tol))
-    # bisect the definition for the first lambda_T it refuses at 1e-12
-    ok, refused = 100.0, 150.0
-    while math.nextafter(ok, refused) != refused:
-        mid = 0.5 * (ok + refused)
-        if _truncation_or_error(_truncate_series_by_prefix_sums, mid,
-                                1e-12) is SeriesTruncationError:
-            refused = mid
-        else:
-            ok = mid
-    assert truncate_series(ok) == _truncate_series_by_prefix_sums(ok)
-    assert truncate_series(ok).n_max == N_MAX_CAP
-    with pytest.raises(SeriesTruncationError):
-        truncate_series(refused)
+        for mu in np.linspace(0.0, 1000.0, 401):
+            mu = float(mu)
+            tr, _ = truncate_series(mu, tol)
+            n = tr.n_max
+            if mu == 0.0:
+                assert (n, tr.tail_mass) == (0, 0.0)
+                continue
+            rel = 1e-14 + _log_space_rel_err(n + 1, mu)
+            assert tr.tail_mass == pytest.approx(pdtrc(n, mu), abs=0, rel=rel)
+            assert tr.tail_mass <= tol
+            assert n == 0 or pdtrc(n - 1, mu) > tol * (1.0 - rel)
 
 
 def test_char_fn_frozen():
