@@ -200,10 +200,8 @@ def jump_char_fn(law: JumpLaw, u):
         out = v.p * v.eta1 / (v.eta1 - 1j * u) + v.q * v.eta2 / (v.eta2 + 1j * u)
     elif isinstance(v, LogUniform):
         z = 1j * u * (v.b - v.a)
-        small = np.abs(z) < 1e-8
-        zs = np.where(small, 1.0, z)
-        out = np.exp(1j * u * v.a) * np.where(
-            small, 1.0 + z / 2.0 + z * z / 6.0, (np.exp(zs) - 1.0) / zs)
+        zs = np.where(z == 0.0, 1.0, z)
+        out = np.exp(1j * u * v.a) * np.where(z == 0.0, 1.0, np.expm1(zs) / zs)
     else:
         raise ParamError(f"unknown jump variant {type(v).__name__}")
     return out if out.shape else complex(out)

@@ -8,13 +8,16 @@ factor exp(lambda T (Psi(u) - 1) - iu lambda k T).
 The ratio (xi - d)/nu^2 is evaluated as -(iu + u^2)/(xi + d), which is
 algebraically identical and keeps full precision as nu -> 0; nu = 0
 exactly falls back to the deterministic-variance Gaussian exponent.
+Where xi + d itself cancels (kappa < rho nu, near u = -i), it is
+-nu^2 (iu + u^2)/(xi - d).
 
 Two pricing routes:
 
     one-integral   C = S0 - sqrt(S0 K) e^(-rT/2)/pi *
                        int_0^inf Re[e^(iu kbar) phihat(u - i/2)] / (u^2 + 1/4) du
     two-integral   C = S0 P1 - K e^(-rT) P2 with the classical
-                       in-the-money probabilities P1, P2
+                       in-the-money probabilities P1, P2 (P1 divides by
+                       phi(-i), taken as S0 e^(rT) in closed form)
 
 both over u in [0, inf) mapped to (0,1] via u = (1-s)/s with the shared
 adaptive Gauss-Kronrod engine, at the fixed tolerances DEFAULT_REF_QUAD.
@@ -39,6 +42,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import log1p
 
 from . import bs_kernel, heston_moments
 from .approx_pricer import Contract, ModelParams, pair_strikes
@@ -49,43 +53,39 @@ from .quadrature import QuadratureConfig, integrate_semi_infinite
 DEFAULT_REF_QUAD = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-11,
                                     max_subdivisions=512)
 
-_NU_FLOOR = 0.0  # nu == 0 exactly takes the Gaussian branch
-
-
-def _log1p_c(z: np.ndarray) -> np.ndarray:
-    """log(1 + z) for complex z, series for |z| small (numpy log1p is real-only)."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 0.0, z)
-    series = z * (1.0 - z * (0.5 - z * (1.0 / 3.0 - 0.25 * z)))
-    return np.where(small, series, np.log(1.0 + zs))
-
 
 def bates_char_fn(u, params: ModelParams, big_t: float, x0: float = 0.0):
     """E(e^{iu X_T}) with X_0 = x0; u may be complex (analytic strip).
 
     Includes the full drift r - lambda k and the jump factor, so
-    char_fn(-i) = e^{x0 + r T} (martingale identity).
+    char_fn(-i) = e^{x0 + r T} (martingale identity). The little-trap
+    form evaluates that limit as 0/0 when kappa < rho nu (xi + d = 0 at
+    u = -i), so the two-integral route takes it in closed form.
     """
     if big_t <= 0.0:
         raise ParamError(f"need T > 0, got {big_t}")
     h = params.heston
     u = np.asarray(u, dtype=complex)
     iu = 1j * u
+    q = iu + u * u
     drift = iu * (x0 + params.r * big_t)
 
-    if h.nu <= _NU_FLOOR:
+    if h.nu == 0.0:
         # deterministic variance: Gaussian with integrated variance v0^2 T
         iv = heston_moments.expected_integrated_variance(h, big_t)
-        heston_part = -0.5 * (iu + u * u) * iv
+        heston_part = -0.5 * q * iv
     else:
         nu2 = h.nu * h.nu
         xi = h.kappa - 1j * h.rho * h.nu * u
-        d = np.sqrt(xi * xi + nu2 * (iu + u * u))
-        ratio = -(iu + u * u) / (xi + d)          # (xi - d)/nu^2
-        g = nu2 * ratio / (xi + d)                # (xi - d)/(xi + d)
+        d = np.sqrt(xi * xi + nu2 * q)
+        # xi + d cancels where Re(xi conj d) < 0; there it is -nu^2 q/(xi - d)
+        flip = (xi * d.conj()).real < 0.0
+        with np.errstate(invalid="ignore"):  # 0/0 at q = 0, left unused
+            xpd = np.where(flip, -nu2 * q / (xi - d), xi + d)
+        ratio = -q / xpd                          # (xi - d)/nu^2
+        g = nu2 * ratio / xpd                     # (xi - d)/(xi + d)
         edt = np.exp(-d * big_t)
-        log_term = _log1p_c(-g * edt) - _log1p_c(-g)
+        log_term = log1p(-g * edt) - log1p(-g)
         heston_part = (h.theta * h.kappa * (ratio * big_t - 2.0 * log_term / nu2)
                        + h.sigma0_sq * ratio * (1.0 - edt) / (1.0 - g * edt))
 
@@ -129,7 +129,7 @@ def price_reference_smile(params: ModelParams, s0: float, strikes,
 def _in_money_probs(params, s0, strike, big_t):
     x0 = math.log(s0)
     lnk = math.log(strike)
-    norm = bates_char_fn(np.array([-1j]), params, big_t, x0)[0]  # = e^{x0 + rT}
+    norm = math.exp(x0 + params.r * big_t)  # bates_char_fn(-i)
 
     def integrand_p2(u):
         phi = bates_char_fn(u, params, big_t, x0)

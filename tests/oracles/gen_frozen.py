@@ -216,6 +216,9 @@ def main():
     lu_cf = lambda u: (mp.e**(1j * u * b) - mp.e**(1j * u * a)) / (1j * u * (b - a))
     emit("CF_LOGUNIFORM_UC", lu_cf(uc))
     emit("CF_LOGUNIFORM_U2", lu_cf(mp.mpf(2)))
+    # small u, where e^z - 1 cancels in (e^z - 1)/z
+    for tag, u in (("U1EM7", "1e-7"), ("U1EM5", "1e-5"), ("U1EM3", "1e-3")):
+        emit(f"CF_LOGUNIFORM_{tag}", lu_cf(mp.mpf(u)))
 
     # two-fold densities at pinned abscissae
     for tag, u in (("M03", "-0.3"), ("ZERO", "0"), ("P025", "0.25")):

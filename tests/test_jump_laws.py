@@ -113,6 +113,11 @@ def test_char_fn_frozen():
     assert abs(jump_char_fn(KOU, 2.0) - fz.CF_KOU_U2) < 1e-14
     assert abs(jump_char_fn(LU, uc) - fz.CF_LOGUNIFORM_UC) < 1e-14
     assert abs(jump_char_fn(LU, 2.0) - fz.CF_LOGUNIFORM_U2) < 1e-14
+    # near u = 0, where e^z - 1 cancels in (e^z - 1)/z
+    for u, want in ((1e-7, fz.CF_LOGUNIFORM_U1EM7),
+                    (1e-5, fz.CF_LOGUNIFORM_U1EM5),
+                    (1e-3, fz.CF_LOGUNIFORM_U1EM3)):
+        assert abs(jump_char_fn(LU, u) - want) < 1e-14, u
 
 
 def test_char_fn_basics():

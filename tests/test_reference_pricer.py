@@ -1,6 +1,7 @@
 """Fourier reference pricer and IV inversion."""
 import cmath
 import dataclasses
+import itertools
 import json
 import math
 import pathlib
@@ -51,11 +52,11 @@ def test_char_fn_frozen_points():
     fig1 = make_params(nu=0.05, rho=-0.2)
     got = bates_char_fn(np.array([0.8]), fig1, 0.3)[0]
     want = fz.BATES_CF_FIG1_U08 * cmath.exp(1j * 0.8 * 0.001 * 0.3)
-    assert abs(got - want) < 1e-13
+    assert abs(got - want) < 1e-15
     fig3 = make_params(nu=0.5, rho=-0.8)
     got3 = bates_char_fn(np.array([3.5]), fig3, 3.0)[0]
     want3 = fz.BATES_CF_FIG3_U35 * cmath.exp(1j * 3.5 * 0.001 * 3.0)
-    assert abs(got3 - want3) < 1e-13
+    assert abs(got3 - want3) < 1e-15
 
 
 def test_char_fn_martingale_normalization():
@@ -81,6 +82,49 @@ def test_methods_agree():
             one = price_reference(params, c, method="one-integral")
             two = price_reference(params, c, method="two-integral")
             assert one == pytest.approx(two, abs=5e-10)
+
+
+def test_two_integral_prices_nu0_loguniform():
+    """Seeded nu = 0 LogUniform cases at lambda T of 0.5-10. With
+    (e^z - 1)/z formed as np.exp(z) - 1 over z, the CF lost up to 5.8e-10
+    near u = 0, where P1 and P2 weigh it by 1/u, and 6 of these 40
+    exhausted the two-integral budget."""
+    rng = np.random.default_rng(1)
+    for _ in range(40):
+        kappa, theta, s0sq = (rng.uniform(0.5, 3.0), rng.uniform(0.05, 0.5),
+                              rng.uniform(0.05, 0.5))
+        big_t = math.exp(rng.uniform(math.log(0.1), math.log(5.0)))
+        lam_t = math.exp(rng.uniform(math.log(0.5), math.log(10.0)))
+        params = ModelParams(
+            heston=HestonParams(kappa=kappa, theta=theta, nu=0.0, rho=0.0,
+                                sigma0_sq=s0sq),
+            jumps=JumpLaw(lam_t / big_t, LogUniform(a=-0.3, b=0.2)), r=0.01)
+        c = Contract(s0=100.0, strike=rng.uniform(70.0, 140.0), maturity=big_t)
+        one = price_reference(params, c, method="one-integral")
+        two = price_reference(params, c, method="two-integral")
+        assert abs(one - two) <= 1e-9, (params, c)
+
+
+@pytest.mark.parametrize("kappa,nu,rho", [
+    (0.2, 0.5, 0.9), (0.3, 0.8, 0.9), (0.1, 1.0, 0.5), (0.1, 1.0, 0.9),
+    (0.05, 0.3, 0.99)])
+def test_two_integral_prices_when_rho_nu_exceeds_kappa(kappa, nu, rho):
+    """With kappa < rho nu, xi + d vanishes at u = -i: the CF there is
+    0/0, so P1's normaliser is e^{x0 + rT} in closed form, and near
+    u = -i, where P1's integrand divides by u, xi + d comes from
+    xi - d. The last Heston set at T = 5 still exhausted the budget
+    when xi + d was summed directly."""
+    for variant, big_t, strike in itertools.product(
+            (LogNormal(mu_j=-0.05, sigma_j=0.2), Kou(p=0.4, eta1=10.0, eta2=5.0),
+             LogUniform(a=-0.3, b=0.2)), (0.1, 1.0, 5.0), (60.0, 100.0, 160.0)):
+        params = ModelParams(
+            heston=HestonParams(kappa=kappa, theta=0.2, nu=nu, rho=rho,
+                                sigma0_sq=0.2),
+            jumps=JumpLaw(intensity=0.5, variant=variant), r=0.01)
+        c = Contract(s0=100.0, strike=strike, maturity=big_t)
+        one = price_reference(params, c, method="one-integral")
+        two = price_reference(params, c, method="two-integral")
+        assert abs(one - two) <= 1e-9, (variant, big_t, strike)
 
 
 def test_flat_limit_is_bs():
