@@ -19,16 +19,27 @@ Two pricing routes:
                        in-the-money probabilities P1, P2 (P1 divides by
                        phi(-i), taken as S0 e^(rT) in closed form)
 
-both over u in [0, inf) mapped to (0,1] via u = (1-s)/s with the shared
-adaptive Gauss-Kronrod engine, at the fixed tolerances DEFAULT_REF_QUAD.
+both over u in [0, inf) mapped to (0,1] via s with the shared adaptive
+Gauss-Kronrod engine, at the fixed tolerances DEFAULT_REF_QUAD. The
+two-integral route takes u = (1-s)/s. The one-integral route takes
+u = c (1-s)/s with c = 1/sqrt(E int_0^T sigma^2): its integrand decays
+on the scale of the smile's own variance, like e^(-c^-2 u^2 / 2) in the
+diffusion part, so the map puts that width near s = 1/2 however short
+the maturity or small the variance. On the footnote set's 40 smiles it
+takes 53 characteristic-function rounds in all (a median of 1) against
+80 (a median of 2) for c = 1. It evaluates phihat(u - i/2) as
+bates_char_fn at x0 = -rT, where the drift i(u - i/2)(x0 + rT) is 0
+exactly.
 
 Only e^(iu kbar), kbar = ln(S0/K) + rT, depends on the strike in the
-one-integral form. price_reference_smile prices a maturity's strikes
-from one stacked integral: the characteristic function is evaluated
-once per node, every strike's integrand shares the adaptive node set,
-and each meets the tolerances of a lone integral. price_reference's
-one-integral route is its one-strike case, bit for bit. The
-two-integral route stays per contract, the fixed baseline.
+one-integral form, and Re[e^(iu kbar) phihat] is taken as
+cos(u kbar) Re phihat - sin(u kbar) Im phihat. price_reference_smile
+prices a maturity's strikes from one stacked integral: the
+characteristic function is evaluated once per node, every strike's
+integrand shares the adaptive node set, and each meets the tolerances
+of a lone integral. price_reference's one-integral route is its
+one-strike case, bit for bit. The two-integral route stays per
+contract, the fixed baseline.
 
 implied_vol_invert inverts a call price by safeguarded Newton: a
 Corrado-Miller (1996) start, then Newton steps on ln BS(y) from one
@@ -62,8 +73,10 @@ def bates_char_fn(u, params: ModelParams, big_t: float, x0: float = 0.0):
     form evaluates that limit as 0/0 when kappa < rho nu (xi + d = 0 at
     u = -i), so the two-integral route takes it in closed form.
     """
-    if big_t <= 0.0:
-        raise ParamError(f"need T > 0, got {big_t}")
+    if not (math.isfinite(big_t) and big_t > 0.0):
+        raise ParamError(f"maturity must be finite and > 0, got {big_t}")
+    if not math.isfinite(x0):
+        raise ParamError(f"x0 must be finite, got {x0}")
     h = params.heston
     u = np.asarray(u, dtype=complex)
     iu = 1j * u
@@ -95,15 +108,22 @@ def bates_char_fn(u, params: ModelParams, big_t: float, x0: float = 0.0):
 
 def _price_one_integral(params, s0, strikes, big_t) -> list:
     """One-integral call prices of valid strikes at one maturity, from
-    one stacked integral with a row per strike."""
+    one stacked integral with a row per strike, over u = c t."""
+    rt = params.r * big_t
     # math.log, not np.log: the two may round differently
-    kbar = np.array([[math.log(s0 / k) + params.r * big_t] for k in strikes])
+    kbar = np.array([[math.log(s0 / k) + rt] for k in strikes])
+    # the integrand's width scales as 1/sqrt(E int_0^T sigma^2)
+    iv = heston_moments.expected_integrated_variance(params.heston, big_t)
+    c = 1.0 / math.sqrt(iv) if iv > 0.0 else 1.0
 
-    def integrand(u):
-        z = u - 0.5j
-        # phihat = CF of X_T - x0 - rT; set x0 = 0 and strip the rT drift
-        phi = bates_char_fn(z, params, big_t) * np.exp(-1j * z * params.r * big_t)
-        return (np.exp(1j * u * kbar) * phi).real / (u * u + 0.25)
+    def integrand(t):
+        u = c * t
+        # x0 = -rT cancels the drift exactly: phihat is the CF of X_T - rT
+        phi = bates_char_fn(u - 0.5j, params, big_t, -rt)
+        # Re[e^{iu kbar} phihat], strike by strike
+        ukbar = u * kbar
+        re = np.cos(ukbar) * phi.real - np.sin(ukbar) * phi.imag
+        return c * re / (u * u + 0.25)
 
     ints = integrate_semi_infinite(integrand, DEFAULT_REF_QUAD).value.tolist()
     # prefactor e^{-rT} sqrt(F K) = sqrt(S0 K) e^{-rT/2}

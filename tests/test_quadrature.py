@@ -45,6 +45,26 @@ def test_budget_exceeded_raises():
         gk15_adaptive(lambda x: np.abs(np.sin(40.0 * x)) ** 0.3, 0.0, 9.0, cfg)
 
 
+@pytest.mark.parametrize("budget", [40, 100, 300])
+def test_budget_is_checked_before_a_round(budget):
+    """A failing integration stops before the round that would take it
+    past its budget, so it never holds more than max_subdivisions
+    intervals; checked after each round, it overshot."""
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size // 15)
+        return np.abs(np.sin(40.0 * x)) ** 0.3
+
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15,
+                           max_subdivisions=budget)
+    with pytest.raises(QuadratureError):
+        gk15_adaptive(f, 0.0, 9.0, cfg)
+    # a later round evaluates both halves of every interval it splits
+    held = sizes[0] + sum(n // 2 for n in sizes[1:])
+    assert held <= budget
+
+
 def test_semi_infinite_exponential():
     res = integrate_semi_infinite(lambda x: np.exp(-x), TIGHT)
     assert abs(res.value - 1.0) < 1e-12
