@@ -22,10 +22,10 @@ one interval, for 300 nodes against 285.
 Equal pieces suit an integrand whose features scale with its range. A
 feature of another width is better met by a map of the range than by
 more pieces. The one-integral reference integrates c f(c t) over
-t in [0, inf), so its map is u = c (1-s)/s, with c = 1/sqrt(E int
-sigma^2) the width of its integrand: the same 40 smiles then take a
-median of 1 round, 53 in all against 80. The Kou/LogUniform Lewis
-integrand (approx_pricer._lewis_sums) has a feature about 1/2 wide at
+t in [0, inf), so its map is u = c (1-s)/s, with c = 2/sqrt(E int
+sigma^2) twice the inverse width of its integrand: the same 40 smiles
+then take a median of 1 round, 53 in all against 80. The Kou/LogUniform
+Lewis integrand (approx_pricer._lewis_sums) has a feature about 1/2 wide at
 u = 0 on a range [0, U] with U of 13-37 on the generic_laws benchmark,
 and on u = U s^2 its first piece is U/256 wide, so it takes one round
 where equal pieces of u take 2-4.

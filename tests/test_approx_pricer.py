@@ -383,6 +383,16 @@ lognormal_laws = st.builds(LogNormal, mu_j=st.floats(-0.5, 0.5),
        kappa=st.floats(0.1, 5.0), theta=st.floats(0.01, 0.5),
        sigma0_sq=st.floats(0.01, 0.5), rho=st.floats(-1.0, 1.0),
        r=st.floats(0.0, 0.1), strike=st.floats(50.0, 200.0))
+# two contracts whose reference, on u = t/sqrt(E int sigma^2), met an
+# interval where the Gauss and Kronrod sums agree on an aliased value:
+# off by 1.6e-9 (lambda k T = 31) and 3.6e-9 (K = 200, T = 0.1)
+@example(variant=Kou(p=0.13566937233894458, eta1=1.01, eta2=1.1),
+         lam_t=2.3847132515612883, big_t=1.1352976591466486,
+         kappa=0.33277651371505407, theta=0.13566937233894458,
+         sigma0_sq=0.01, rho=0.0, r=0.0, strike=50.0)
+@example(variant=LogUniform(a=0.0, b=0.8530595171530485), lam_t=3.56640625,
+         big_t=0.1015625, kappa=0.1, theta=0.5, sigma0_sq=0.01, rho=0.0,
+         r=0.0625, strike=200.0)
 def test_generic_laws_exact_at_zero_volofvol(variant, lam_t, big_t, kappa,
                                              theta, sigma0_sq, rho, r,
                                              strike):

@@ -417,7 +417,7 @@ FOOTNOTE = pathlib.Path(__file__).parents[1] / "params" / "paper_footnote.json"
 
 def test_smile_takes_few_refinement_rounds(monkeypatch):
     """The one-integral smile calls the characteristic function once per
-    refinement round. On u = c t, with c = 1/sqrt(E int_0^T sigma^2),
+    refinement round. On u = c t, with c = 2/sqrt(E int_0^T sigma^2),
     the footnote set's smiles over the four regimes and the bench
     maturities take 53 rounds in all and a median of 1; on u = t they
     took 80 and a median of 2, and from one starting interval a median
