@@ -206,7 +206,9 @@ def _lewis_sums(mt: MaturityTerms, s0: float, strikes) -> tuple:
     D = d/dx acts as (iu + 1/2) and Gamma = D^2 - D as -(u^2 + 1/4):
     Gamma2 takes the weight -(u^2 + 1/4) in place of 1/(u^2 + 1/4), and
     LambdaGamma the weight (iu + 1/2). All strikes' three integrands
-    share one adaptive node set and one evaluation of phihat.
+    share one adaptive node set and one evaluation of phihat's exponent;
+    the phase iu kbar joins that exponent, so each node and strike costs
+    one complex exponential.
 
     The range [0, U], U = _lewis_cutoff, is integrated on u = U s^2 as
     g(s) = f(U s^2) 2 U s over s in [0, 1]. The substitution is exact,
@@ -219,15 +221,16 @@ def _lewis_sums(mt: MaturityTerms, s0: float, strikes) -> tuple:
     """
     big_t, law, r = mt.maturity, mt.params.jumps, mt.params.r
     strikes = np.array(strikes, dtype=float)
-    kbar = (np.log(s0 / strikes) + r * big_t)[:, None]
+    ikbar = 1j * (np.log(s0 / strikes) + r * big_t)[:, None]
     var_t = mt.v0 * mt.v0 * big_t
     big_u = _lewis_cutoff(law, var_t, big_t)
 
     def integrand(s):
         u = big_u * s * s
         w = u * u + 0.25           # i z + z^2 at z = u - i/2
-        phi = np.exp(-0.5 * var_t * w + jump_laws.jump_exponent(law, u - 0.5j, big_t))
-        e = np.exp(1j * kbar * u) * phi
+        # e^(iu kbar) phihat(u - i/2)
+        e = np.exp((-0.5 * var_t * w + jump_laws.jump_exponent(law, u - 0.5j, big_t))
+                   + ikbar * u)
         # du = 2 U s ds
         return (np.concatenate([e.real / w, e.real * w, 0.5 * e.real - u * e.imag])
                 * (2.0 * big_u * s))
@@ -244,27 +247,34 @@ def _lewis_cutoff(law: JumpLaw, var_t: float, big_t: float) -> float:
 
     |phihat(u - i/2)| <= B e^(-a u^2), a = v0^2 T / 2, where
     B = exp(lambda T (E e^(Y/2) - 1) - lambda k T / 2) bounds the jump
-    factor, since |Psi(u - i/2)| <= E e^(Y/2). For u >= 1 each weight
-    is at most u^2 + 5/4, and int_U^inf (u^2 + c) e^(-a u^2) du <=
-    (U^2 + 1/a + c) e^(-a U^2) / (2 a U). A finite range keeps the
-    nodes where the integrand lives: the map of integrate_semi_infinite
-    crowds a wide law's oscillations near s = 0 and needs ~8x the
-    subintervals. _lewis_sums integrates [0, U] on u = U s^2, which
-    refines only near u = 0, where the weight's poles at +-i/2 set a
-    width that does not scale with U.
+    factor, since |Psi(u - i/2)| <= E e^(Y/2) (jump_laws.exp_half_moment,
+    in closed form). For u >= 1 each weight is at most u^2 + 5/4, and
+    int_U^inf (u^2 + c) e^(-a u^2) du <= (U^2 + 1/a + c) e^(-a U^2) / (2 a U).
+    U solves a U^2 = ln(B (U^2 + 1/a + 5/4) / (2 a U _LEWIS_TAIL)) by
+    fixed-point steps from max(1, 1/sqrt(a)), taken until the bound holds
+    at U. Each step at least halves the gap between the two sides, since
+    a U^2 >= 1, and lands a relative 1e-12 past the root it aims at, so
+    the loop ends.
+
+    A finite range keeps the nodes where the integrand lives: the map of
+    integrate_semi_infinite crowds a wide law's oscillations near s = 0
+    and needs ~8x the subintervals. _lewis_sums integrates [0, U] on
+    u = U s^2, which refines only near u = 0, where the weight's poles
+    at +-i/2 set a width that does not scale with U.
     """
     a = 0.5 * var_t
     lam_t = law.intensity * big_t
     log_b = 0.0
     if lam_t > 0.0:
-        half = jump_laws.jump_char_fn(law, -0.5j).real     # E e^(Y/2)
-        log_b = lam_t * (half - 1.0) - 0.5 * lam_t * jump_laws.compensator_k(law)
+        log_b = (lam_t * (jump_laws.exp_half_moment(law) - 1.0)
+                 - 0.5 * lam_t * jump_laws.compensator_k(law))
+    log_ratio = log_b - math.log(_LEWIS_TAIL)
     u = max(1.0, 1.0 / math.sqrt(a))
-    for _ in range(4):
-        excess = (log_b - math.log(_LEWIS_TAIL)
-                  + math.log((u * u + 1.0 / a + 1.25) / (2.0 * a * u)))
-        u = max(u, math.sqrt(max(excess, 0.0) / a))
-    return u
+    while True:
+        excess = log_ratio + math.log((u * u + 1.0 / a + 1.25) / (2.0 * a * u))
+        if not a * u * u < excess:      # a NaN stops here too
+            return u
+        u = math.sqrt(excess / a) * (1.0 + 1e-12)
 
 
 def price_approx(params: ModelParams, contract: Contract,

@@ -183,6 +183,19 @@ def compensator_k(law: JumpLaw) -> float:
     raise ParamError(f"unknown jump variant {type(v).__name__}")
 
 
+def exp_half_moment(law: JumpLaw) -> float:
+    """E e^(Y/2) per amplitude law: jump_char_fn(law, -i/2) in real
+    arithmetic."""
+    v = law.variant
+    if isinstance(v, LogNormal):
+        return math.exp(0.5 * v.mu_j + 0.125 * v.sigma_j ** 2)
+    if isinstance(v, Kou):
+        return v.p * v.eta1 / (v.eta1 - 0.5) + v.q * v.eta2 / (v.eta2 + 0.5)
+    if isinstance(v, LogUniform):
+        return math.exp(0.5 * v.a) * _expm1_over(0.5 * (v.b - v.a))
+    raise ParamError(f"unknown jump variant {type(v).__name__}")
+
+
 def _expm1_over(x: float) -> float:
     """(e^x - 1)/x with the x -> 0 limit."""
     if x == 0.0:
@@ -200,8 +213,13 @@ def jump_char_fn(law: JumpLaw, u):
         out = v.p * v.eta1 / (v.eta1 - 1j * u) + v.q * v.eta2 / (v.eta2 + 1j * u)
     elif isinstance(v, LogUniform):
         z = 1j * u * (v.b - v.a)
-        zs = np.where(z == 0.0, 1.0, z)
-        out = np.exp(1j * u * v.a) * np.where(z == 0.0, 1.0, np.expm1(zs) / zs)
+        zero = z == 0.0
+        if zero.any():      # (e^z - 1)/z -> 1 at u = 0 only
+            z = np.where(zero, 1.0, z)
+            ratio = np.where(zero, 1.0, np.expm1(z) / z)
+        else:
+            ratio = np.expm1(z) / z
+        out = np.exp(1j * u * v.a) * ratio
     else:
         raise ParamError(f"unknown jump variant {type(v).__name__}")
     return out if out.shape else complex(out)

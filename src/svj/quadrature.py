@@ -29,6 +29,15 @@ Lewis integrand (approx_pricer._lewis_sums) has a feature about 1/2 wide at
 u = 0 on a range [0, U] with U of 13-37 on the generic_laws benchmark,
 and on u = U s^2 its first piece is U/256 wide, so it takes one round
 where equal pieces of u take 2-4.
+
+A one-round integration is then mostly fixed cost, so the round's
+bookkeeping is kept lean without moving a node or a sum. The first
+round's layout on [0, 1] (edges, half-widths and its 240 nodes), where
+every pricing integration runs, is built once at import and shared
+read-only. Both rules are summed by one reduction over stacked (2, 15)
+weights, each sum in the order of its own reduction, so the results
+are bit for bit those of two. Non-finite integrand values are caught
+on the Kronrod sums, whose weights are all > 0, not node by node.
 """
 from __future__ import annotations
 
@@ -90,6 +99,30 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 # equal subintervals of [a, b] evaluated in the first round
 _INITIAL_PIECES = 16
 
+# both rules' weights, stacked to be reduced together: (rule, 1, node)
+_W_RULES = np.stack([_W_KRONROD, _W_GAUSS])[:, None, :]
+
+
+def _nodes(mid, half):
+    """The 15 GK nodes of each interval, flat, interval by interval."""
+    return (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
+
+
+def _first_round(a: float, b: float) -> tuple:
+    """(lo, hi, half-widths, nodes) of the _INITIAL_PIECES equal pieces
+    of [a, b], read-only."""
+    edges = np.linspace(a, b, _INITIAL_PIECES + 1)
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    layout = (lo, hi, half, _nodes(0.5 * (lo + hi), half))
+    for x in layout:
+        x.flags.writeable = False
+    return layout
+
+
+# every pricing integration runs on [0, 1]: its first round is built once
+_UNIT_ROUND = _first_round(0.0, 1.0)
+
 
 def gk15_adaptive(f, a: float, b: float,
                   config: QuadratureConfig) -> QuadratureResult:
@@ -123,35 +156,36 @@ def gk15_adaptive(f, a: float, b: float,
 
     # intervals already evaluated: for m components, rows [0, m) of est
     # hold the Kronrod estimates, rows [m, 2m) the error estimates and rows
-    # [2m, 3m) the estimates' absolute values, one column per interval
-    ivl_lo = np.empty(0)
-    ivl_hi = np.empty(0)
+    # [2m, 3m) the estimates' absolute values, one column per interval;
+    # the first round's intervals are its pieces
+    ivl_lo, ivl_hi, half, pts = (_UNIT_ROUND if (a, b) == (0.0, 1.0)
+                                 else _first_round(float(a), float(b)))
     est = None
-    # intervals queued for evaluation
-    edges = np.linspace(float(a), float(b), _INITIAL_PIECES + 1)
-    pend_lo = edges[:-1]
-    pend_hi = edges[1:]
     n_evals = 0
     n_splits = 0
 
     while True:
-        mid = 0.5 * (pend_lo + pend_hi)
-        half = 0.5 * (pend_hi - pend_lo)
-        pts = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
         fy = np.asarray(f(pts), dtype=float)
         stacked = fy.ndim == 2
-        fy = fy.reshape(-1, len(mid), 15)
+        fy = fy.reshape(-1, 1, len(half), 15)
         m = len(fy)
-        if not np.isfinite(fy).all():
+        # both rules' sums, each in the order of its own reduction; a
+        # non-finite value at any node makes its Kronrod sum (all weights
+        # > 0) non-finite, which raises below, so the warnings of inf * 0
+        # and inf - inf are not wanted
+        with np.errstate(invalid="ignore", over="ignore"):
+            rules = np.add.reduce(fy * _W_RULES, axis=3) * half
+        k_est, g_est = rules[:, 0], rules[:, 1]
+        if not np.isfinite(k_est).all():
             raise QuadratureError("gk15_adaptive: integrand returned non-finite values")
         n_evals += pts.size
-        k_est = np.add.reduce(fy * _W_KRONROD, axis=2) * half
-        g_est = np.add.reduce(fy * _W_GAUSS, axis=2) * half
         new = np.concatenate([k_est, np.abs(k_est - g_est), np.abs(k_est)])
-
-        ivl_lo = np.concatenate([ivl_lo, pend_lo])
-        ivl_hi = np.concatenate([ivl_hi, pend_hi])
-        est = new if est is None else np.concatenate([est, new], axis=1)
+        if est is None:
+            est = new
+        else:
+            ivl_lo = np.concatenate([ivl_lo, pend_lo])
+            ivl_hi = np.concatenate([ivl_hi, pend_hi])
+            est = np.concatenate([est, new], axis=1)
 
         sums = np.add.reduce(est, axis=1)
         total, total_err = sums[:m], sums[m:2 * m]
@@ -187,6 +221,8 @@ def gk15_adaptive(f, a: float, b: float,
         mid_bad = 0.5 * (lo_bad + hi_bad)
         pend_lo = np.concatenate([lo_bad, mid_bad])
         pend_hi = np.concatenate([mid_bad, hi_bad])
+        half = 0.5 * (pend_hi - pend_lo)
+        pts = _nodes(0.5 * (pend_lo + pend_hi), half)
         n_splits += n_bad
         keep = ~bad
         ivl_lo, ivl_hi = ivl_lo[keep], ivl_hi[keep]

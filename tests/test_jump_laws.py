@@ -11,9 +11,9 @@ import _frozen as fz
 from svj import bs_kernel
 from svj.errors import ParamError, SeriesTruncationError
 from svj.jump_laws import (N_MAX_CAP, JumpLaw, Kou, LogNormal, LogUniform,
-                           compensator_k, convolution_density, gn_generic,
-                           jump_char_fn, jump_support, lognormal_shift,
-                           poisson_pmf, truncate_series)
+                           compensator_k, convolution_density, exp_half_moment,
+                           gn_generic, jump_char_fn, jump_support,
+                           lognormal_shift, poisson_pmf, truncate_series)
 from svj.quadrature import QuadratureConfig
 
 LN = JumpLaw(intensity=0.05, variant=LogNormal(mu_j=-0.05, sigma_j=0.5))
@@ -127,6 +127,28 @@ def test_char_fn_basics():
         assert jump_char_fn(law, -u) == pytest.approx(
             np.conj(jump_char_fn(law, u)), abs=1e-15)
         assert abs(jump_char_fn(law, u)) <= 1.0 + 1e-15
+        # an array mixing u = 0 with u != 0: LogUniform's z = 0 guard
+        mixed = jump_char_fn(law, np.array([0.0, u, 0.0, -2.3]))
+        assert mixed.shape == (4,)
+        assert mixed[0] == mixed[2] == pytest.approx(1.0, abs=1e-15)
+        assert mixed[1] == pytest.approx(jump_char_fn(law, u), abs=1e-15)
+        assert mixed[3] == pytest.approx(jump_char_fn(law, -2.3), abs=1e-15)
+
+
+@pytest.mark.parametrize("law", [
+    LN, KOU, LU,
+    JumpLaw(intensity=1.0, variant=LogNormal(mu_j=0.3, sigma_j=0.0)),
+    JumpLaw(intensity=1.0, variant=Kou(p=0.9, eta1=1.0 + 1e-9, eta2=0.1)),
+    JumpLaw(intensity=1.0, variant=Kou(p=0.0, eta1=2.0, eta2=3.0)),
+    JumpLaw(intensity=1.0, variant=LogUniform(a=-0.2, b=-0.2 + 1e-12)),
+    JumpLaw(intensity=1.0, variant=LogUniform(a=0.0, b=1e-12)),
+    JumpLaw(intensity=1.0, variant=LogUniform(a=-2.0, b=1.5)),
+])
+def test_exp_half_moment_is_the_char_fn_at_minus_half_i(law):
+    """E e^(Y/2) in closed form is E e^(iuY) at u = -i/2 to a few ulp."""
+    want = jump_char_fn(law, -0.5j)
+    assert want.imag == 0.0
+    assert abs(exp_half_moment(law) - want.real) <= 4.0 * np.spacing(want.real)
 
 
 def test_char_fn_is_density_transform():

@@ -153,3 +153,26 @@ def test_stacked_budget_exceeded_raises():
         gk15_adaptive(lambda x: np.stack([np.ones_like(x),
                                           np.abs(np.sin(40.0 * x)) ** 0.3]),
                       0.0, 9.0, cfg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("round_", [0, 1])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_a_non_finite_value_at_any_node_raises(bad, round_, stacked):
+    """One NaN or +-inf at any of a piece's 15 node positions, the Gauss
+    rule's zero-weight ones included, raises QuadratureError, in the
+    first round (the shared [0, 1] layout) and in a refinement round.
+    Stacked, it sits in the second component only."""
+    for pos in range(15):
+        calls = [0]
+
+        def f(x, pos=pos):
+            y = np.abs(x - 0.37)        # refines past the first round
+            if calls[0] == round_:
+                y[15 + pos] = bad       # the call's second piece
+            calls[0] += 1
+            return np.stack([np.ones_like(x), y]) if stacked else y
+
+        with pytest.raises(QuadratureError, match="non-finite"):
+            gk15_adaptive(f, 0.0, 1.0, TIGHT)
+        assert calls[0] == round_ + 1
