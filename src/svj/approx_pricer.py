@@ -34,16 +34,18 @@ map puts the first of gk15_adaptive's 16 starting pieces at width U/256
 there, in place of U/16, so one round of nodes resolves it.
 
 All but the kernel evaluations depend on (params, T) alone, not on the
-strike: each smile builds them once (maturity_terms). The strike axis
-is one pass too. pair_strikes checks a smile's strikes by comparisons,
-building a Contract only for a refused strike, to give its error.
-For LogNormal amplitudes, price_smile evaluates the three kernels of
-every (term, strike) pair as numpy arrays (bs_kernel.pricer_kernels_arr),
-weights them by pi_n and adds each strike's terms in order, n = 0 first,
-in one cumsum over the stacked (kernel, strike, term) array; PriceResult
-objects are built only from the summed arrays. A matrix product would
-round by BLAS block and ndarray.sum pairwise, and neither keeps a
-strike's sums free of the other strikes and of the series' length.
+strike: each smile builds them once (maturity_terms), with ln n! read
+from a cached table. The strike axis is one pass too. pair_strikes
+checks a smile's strikes by comparisons, building a Contract only for a
+refused strike, to give its error; where every strike passes, a plain
+sort orders them. For LogNormal amplitudes, price_smile evaluates the
+kernels of every (term, strike) pair as one stacked (kernel, strike,
+term) numpy array (bs_kernel.pricer_kernels_arr), weights it by pi_n in
+place and adds each strike's terms in order, n = 0 first, by one
+in-place cumsum; PriceResult objects, plain slotted dataclasses, are
+built only from the summed arrays. A matrix product would round by BLAS
+block and ndarray.sum pairwise, and neither keeps a strike's sums free
+of the other strikes and of the series' length.
 price_approx is the one-strike case of the same pass, bit for bit. For
 other laws, every strike's three integrands share one adaptive GK15 node
 set (a stacked quadrature.gk15_adaptive), so price_approx agrees with
@@ -93,7 +95,10 @@ class ModelParams:
             raise ParamError(f"r must be >= 0, got {self.r}")
 
 
-@dataclass(frozen=True, slots=True)
+# Built per strike on the hot path, so not frozen: a frozen dataclass's
+# __init__ sets each field through object.__setattr__, about three times
+# the cost. So a PriceResult compares by value but is not hashable.
+@dataclass(slots=True)
 class PriceResult:
     price: float
     base_term: float
@@ -102,13 +107,14 @@ class PriceResult:
     truncation: SeriesTruncation
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False)
 class MaturityTerms:
     """Strike-free inputs at one (params, T). LogNormal laws: truncation
     of Poisson(lambda (1+k) T), whose read-only weights pi_n multiply the
     kernels at the read-only shifted inputs vol[n], rate[n]. Other laws:
     the Poisson(lambda T) truncation and weights, reported only; vol and
-    rate are None."""
+    rate are None. Built once per smile, by maturity_terms alone, and not
+    frozen (see PriceResult); nothing changes it after."""
     params: ModelParams
     maturity: float
     v0: float
@@ -136,7 +142,8 @@ def maturity_terms(params: ModelParams, big_t: float,
     v0 = heston_moments.avg_expected_variance_v0(params.heston, big_t)
     vol = rate = None
     if lognormal:
-        vol, rate = jump_laws.lognormal_shift(np.arange(trunc.n_max + 1),
+        # a float arange: n enters only float products, exact either way
+        vol, rate = jump_laws.lognormal_shift(np.arange(trunc.n_max + 1.0),
                                               jumps, v0, params.r, big_t)
         vol.flags.writeable = rate.flags.writeable = False
     return MaturityTerms(params=params, maturity=big_t, v0=v0,
@@ -151,26 +158,29 @@ def _price_strikes(mt: MaturityTerms, s0: float, strikes) -> list:
 
     The three sums (sum pi_n G_n, and its Gamma2 and LambdaGamma images)
     come as arrays over the strikes. LogNormal amplitudes: one numpy pass
-    over (strikes x terms) arrays of the three kernels, weighted by pi_n
-    and added in order, n = 0 first, by one cumsum for all three, so a
-    strike's sums do not depend on the other strikes of the pass, and a
-    longer series never sums lower. Neither a matrix product (BLAS rounds
-    by block, so price_approx would drift from its price_smile entry) nor
-    ndarray.sum (pairwise: the base term could drop as tol shrinks)
-    keeps that. Other laws: one Lewis integral per maturity
+    gives the kernels as one stacked (kernel, strikes, terms) array,
+    weighted by pi_n and added in order, n = 0 first, by one cumsum over
+    the terms, both in place, so a strike's sums do not depend on the
+    other strikes of the pass, and a longer series never sums lower.
+    Neither a matrix product (BLAS rounds by block, so price_approx
+    would drift from its price_smile entry) nor ndarray.sum (pairwise:
+    the base term could drop as tol shrinks) keeps that. Other laws: one Lewis integral per maturity
     (_lewis_sums). The terms are then combined elementwise, so price =
-    base_term + r0_term + u0_term bit-exactly.
+    base_term + r0_term + u0_term bit-exactly, and the PriceResults are
+    built from the arrays' tolist()s.
     """
     big_t = mt.maturity
     if mt.vol is not None:
         # v_tilde_n grows with n: one degenerate check covers every term
         bs_kernel.check_nondegenerate(float(mt.vol[0]), big_t)
-        bs, _, g2, lg = bs_kernel.pricer_kernels_arr(
+        kernels = bs_kernel.pricer_kernels_arr(
             math.log(s0), mt.vol, np.asarray(strikes, dtype=float)[:, None],
             mt.rate, big_t)
-        # (3, strikes, terms), summed over the terms
-        base, g2, lg = (np.array((bs, g2, lg))
-                        * mt.weights).cumsum(-1)[..., -1]
+        # (4 kernels, strikes, terms), weighted and summed over the terms
+        # in place (add.accumulate is cumsum without its wrapper); the
+        # G BS row is summed too and not read
+        kernels *= mt.weights
+        base, _, g2, lg = np.add.accumulate(kernels, axis=-1, out=kernels)[..., -1]
     else:
         bs_kernel.check_nondegenerate(mt.v0, big_t)
         base, g2, lg = _lewis_sums(mt, s0, strikes)
@@ -307,29 +317,40 @@ def pair_strikes(s0: float, strikes, big_t: float, price) -> list:
     valid strikes go, as one float array, to one call of price(valid
     strikes), which returns a result per strike; its failure is paired
     with every valid strike. A Contract is built only for a strike that
-    _strike_mask does not pass, to give its error.
+    _strike_mask does not pass, to give its error. Where _strike_mask
+    passes every strike, none is NaN, and the strikes are sorted and
+    priced as they stand.
     """
     if len(strikes) == 0:
         raise ParamError("strikes must be nonempty")
+    mask = _strike_mask(s0, strikes, big_t)
+    if all(mask):
+        strikes = sorted(strikes)
+        return list(zip(strikes, _price_valid(price, strikes)))
     # k != k for NaN alone; sorted() would leave a NaN where it stands
-    strikes = sorted(strikes, key=lambda k: (k != k, k))
-    results = [None] * len(strikes)
-    for i, ok in enumerate(_strike_mask(s0, strikes, big_t)):
+    pairs = sorted(zip(strikes, mask), key=lambda p: (p[0] != p[0], p[0]))
+    results = [None] * len(pairs)
+    for i, (k, ok) in enumerate(pairs):
         if not ok:
             try:
-                Contract(s0=s0, strike=strikes[i], maturity=big_t)
+                Contract(s0=s0, strike=k, maturity=big_t)
             except ParamError as exc:
                 results[i] = exc
     valid = [i for i, res in enumerate(results) if res is None]
     if valid:
-        # one pass over every valid strike
-        try:
-            priced = price(np.array([strikes[i] for i in valid], dtype=float))
-        except PRICING_ERRORS as exc:
-            priced = [exc] * len(valid)
+        priced = _price_valid(price, [pairs[i][0] for i in valid])
         for i, res in zip(valid, priced):
             results[i] = res
-    return list(zip(strikes, results))
+    return [(k, res) for (k, _), res in zip(pairs, results)]
+
+
+def _price_valid(price, strikes) -> list:
+    """price(strikes as one float array): one pass over every valid
+    strike, whose failure is paired with each of them."""
+    try:
+        return price(np.array(strikes, dtype=float))
+    except PRICING_ERRORS as exc:
+        return [exc] * len(strikes)
 
 
 # the types whose Contract check is "finite and > 0" of the float value

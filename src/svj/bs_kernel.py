@@ -117,20 +117,29 @@ def bs_vega(x: float, y: float, strike: float, r: float, tau: float) -> float:
 
 
 # The one array kernel: all four formulas with numpy semantics,
-# broadcasting over every argument. It has no degenerate branch and no
+# broadcasting over every argument, written by each formula's last
+# operation into one stacked (4, ...) array, so the strike pass weights
+# and sums the kernels in place. It has no degenerate branch and no
 # input checks: the strike pass runs check_nondegenerate once per
 # maturity. The scalar kernels above serve one float (the Newton IV
 # inversion), where a numpy call costs several times a math call, and
 # are the tests' independent reference.
 
-def pricer_kernels_arr(x, y, strike, r, tau) -> tuple:
-    """(BS, G BS, G^2 BS, L G BS), sharing d+- and the Gaussian factor
-    G BS; d+- round as d_plus_minus rounds them."""
+def pricer_kernels_arr(x, y, strike, r, tau) -> np.ndarray:
+    """Stacked (BS, G BS, G^2 BS, L G BS) over the broadcast shape of
+    the arguments, sharing d+- and the Gaussian factor G BS; d+- round
+    as d_plus_minus rounds them."""
     ysq = y * np.sqrt(tau)
     half = 0.5 * ysq
-    m = (x - np.log(strike) + r * tau) / ysq
+    rt = r * tau        # -(r tau) rounds as (-r) tau
+    m = (x - np.log(strike) + rt) / ysq
     dp, dm = m + half, m - half
     dp2 = dp * dp
-    g = np.exp(x - 0.5 * dp2) / (y * np.sqrt(2.0 * math.pi * tau))
-    return (np.exp(x) * ndtr(dp) - strike * np.exp(-r * tau) * ndtr(dm), g,
-            g * (dp2 - ysq * dp - 1.0) / (ysq * ysq), g * (1.0 - dp / ysq))
+    out = np.empty((4,) + np.shape(dp))
+    # views of the rows, 0-d views where every argument is a scalar
+    bs, g, g2, lg = out[0, ...], out[1, ...], out[2, ...], out[3, ...]
+    np.subtract(np.exp(x) * ndtr(dp), strike * np.exp(-rt) * ndtr(dm), out=bs)
+    np.divide(np.exp(x - 0.5 * dp2), y * np.sqrt(2.0 * math.pi * tau), out=g)
+    np.divide(g * (dp2 - ysq * dp - 1.0), ysq * ysq, out=g2)
+    np.multiply(g, 1.0 - dp / ysq, out=lg)
+    return out

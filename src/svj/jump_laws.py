@@ -135,17 +135,35 @@ N_MAX_CAP = 100_000
 _EPS = sys.float_info.epsilon
 
 
+# ln n! = gammaln(n + 1) for n < len, read-only; _log_factorials grows it
+_LOG_FACTORIALS = gammaln(np.arange(128.0) + 1.0)
+_LOG_FACTORIALS.flags.writeable = False
+
+
+def _log_factorials(size: int) -> np.ndarray:
+    """ln n! for n = 0 .. size - 1: a prefix of one cached table, rebuilt
+    at twice the size (or more) when it falls short. gammaln acts
+    elementwise, so an entry is the same bits at any table size."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if len(table) < size:
+        table = gammaln(np.arange(float(max(size, 2 * len(table)))) + 1.0)
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return table[:size]
+
+
 def truncate_series(lambda_t: float, tol: float = DEFAULT_SERIES_TOL) -> tuple:
     """(SeriesTruncation, read-only weights p_0 .. p_n_max): the least
     n_max whose Poisson(lambda_T) tail mass is <= tol.
 
     Bernstein's bound P(N >= mu + t) <= exp(-t^2 / (2 (mu + t/3))) is
     tol eps at t = L/3 + sqrt(L^2/9 + 2 mu L), L = -ln(tol eps), so the
-    pmf, in log space (xlogy: 0 ln 0 = 0) up to N_hi = floor(mu + t) + 1,
-    misses under tol eps of mass. The tails are one reversed cumsum,
-    small terms first, so each is accurate relative to itself. N_hi >
-    N_MAX_CAP raises SeriesTruncationError before any array is built:
-    the cap guards memory, not accuracy.
+    pmf, in log space (xlogy: 0 ln 0 = 0; ln n! from _log_factorials) up
+    to N_hi = floor(mu + t) + 1, misses under tol eps of mass. The tails
+    are one reversed cumsum, small terms first, so each is accurate
+    relative to itself. N_hi > N_MAX_CAP raises SeriesTruncationError
+    before any array is built: the cap guards memory, not accuracy.
     """
     if not (0.0 < tol < 1.0 and lambda_t >= 0.0):
         raise ParamError(f"need 0 < tol < 1 and lambda_T >= 0, "
@@ -157,7 +175,7 @@ def truncate_series(lambda_t: float, tol: float = DEFAULT_SERIES_TOL) -> tuple:
         raise SeriesTruncationError(
             f"Poisson series needs over {N_MAX_CAP} terms (lambda_T={lambda_t})")
     n = np.arange(int(reach) + 2.0)
-    pmf = np.exp(xlogy(n, lambda_t) - lambda_t - gammaln(n + 1.0))
+    pmf = np.exp(xlogy(n, lambda_t) - lambda_t - _log_factorials(len(n)))
     tails = pmf[:0:-1].cumsum()     # sum_{j > n} p_j for n = N_hi - 1 .. 0
     k = int(tails.searchsorted(tol, "right"))   # >= 1: tails[0] <= tol eps
     n_max = len(tails) - k                      # the n whose tail is > tol

@@ -209,13 +209,19 @@ def implied_vol_invert(price: float, contract: Contract, r: float) -> float:
     bisection. Stops when a step moves y by <= 1e-15 max(1, y) or BS(y)
     equals the price.
 
-    Raises BracketError when the price sits outside the open
-    no-arbitrage interval (intrinsic, spot) or outside the vol bracket,
-    and NumericalError after IV_MAX_ITER steps.
+    Raises ParamError for a non-finite price or r, BracketError when
+    the price sits outside the open no-arbitrage interval (intrinsic,
+    spot) or outside the vol bracket, and NumericalError after
+    IV_MAX_ITER steps.
     """
     price, s0, strike, tau, r = (float(price), float(contract.s0),
                                  float(contract.strike),
                                  float(contract.maturity), float(r))
+    # the Contract is checked already; a NaN would fail every comparison
+    if not math.isfinite(price):
+        raise ParamError(f"price must be finite, got {price}")
+    if not math.isfinite(r):
+        raise ParamError(f"r must be finite, got {r}")
     x = math.log(s0)
     intrinsic = max(s0 - strike * math.exp(-r * tau), 0.0)
     if not intrinsic < price < s0:

@@ -14,8 +14,9 @@ from _terms import gn_term
 from conftest import make_params
 from svj import bench, bs_kernel, heston_moments, jump_laws, quadrature
 from svj.approx_pricer import (_LEWIS_TAIL, Contract, MaturityTerms,
-                               ModelParams, _lewis_cutoff, _price_strikes,
-                               maturity_terms, price_approx, price_smile)
+                               ModelParams, PriceResult, _lewis_cutoff,
+                               _price_strikes, maturity_terms, price_approx,
+                               price_smile)
 from svj.errors import (PRICING_ERRORS, DomainError, ParamError,
                         SeriesTruncationError)
 from svj.heston_moments import HestonParams
@@ -175,27 +176,55 @@ maturities = st.one_of(st.floats(0.1, 2.0), st.just(1),
                        st.sampled_from([math.nan, math.inf, 0.0, -0.5, 0]))
 
 
+def _bits(res) -> tuple:
+    """A smile entry's floats as their exact hex strings (and a
+    PriceResult's truncation); an error as its type and message."""
+    if isinstance(res, Exception):
+        return type(res), str(res)
+    if isinstance(res, PriceResult):
+        return (*map(float.hex, (res.price, res.base_term, res.r0_term,
+                                 res.u0_term)), res.truncation)
+    return (float.hex(res),)
+
+
+@st.composite
+def shuffled_strikes(draw):
+    """mixed_strikes plus repeats of its own entries, shuffled."""
+    strikes = draw(mixed_strikes)
+    repeats = draw(st.lists(st.sampled_from(strikes), max_size=4))
+    return draw(st.permutations(strikes + repeats))
+
+
 @pytest.mark.parametrize("smile", [price_smile, price_reference_smile])
 @settings(max_examples=60, deadline=None)
-@given(strikes=mixed_strikes, s0=spots, big_t=maturities)
+@given(strikes=shuffled_strikes(), s0=spots, big_t=maturities)
 # an int strike beyond the float range is a valid Contract
 @example(strikes=[10**400, 100.0, -5], s0=100.0, big_t=0.3)
 @example(strikes=[np.float32("inf"), 90, np.float32(100.0)], s0=100.0,
          big_t=0.3)
+@example(strikes=[110.0, 90, math.nan, 110, np.float32(90.0), 0, 90.0],
+         s0=100.0, big_t=0.3)
 def test_smile_strike_mask_matches_per_strike_contracts(smile, strikes, s0,
                                                         big_t):
     """The smile pricers pair each strike, the same object in the same
-    place, with the error of its own Contract, type and message, or with
-    a price where the Contract is valid: floats, ints, np.float32 and
+    place (ascending, duplicates in their given order, NaN last), with
+    the error of its own Contract, type and message, or with a price
+    where the Contract is valid: shuffled floats, ints, np.float32 and
     np.float64, NaN, inf, 0, negatives and duplicates, and an invalid s0
-    or T. A valid strike beyond the float range fails the pass's float
-    array, and with it every valid strike."""
+    or T. Each valid strike's result is bit for bit what the valid
+    strikes alone give. A valid strike beyond the float range fails the
+    pass's float array, and with it every valid strike."""
     params = make_params(nu=0.05, rho=-0.2)
     want = _contract_pairs(s0, strikes, big_t)
     got = smile(params, s0, strikes, big_t)
     assert len(got) == len(want)
     overflow = any(t is None and type(k) is int and k > sys.float_info.max
                    for k, t, _ in want)
+    valid = [k for k, t, _ in want if t is None]
+    if valid and not overflow:
+        assert ([_bits(res) for (_, res), (_, t, _) in zip(got, want)
+                 if t is None]
+                == [_bits(res) for _, res in smile(params, s0, valid, big_t)])
     for (k, res), (want_k, want_type, want_msg) in zip(got, want):
         assert k is want_k
         if want_type is None and overflow:
@@ -209,6 +238,21 @@ def test_smile_strike_mask_matches_per_strike_contracts(smile, strikes, s0,
                     params, Contract(s0=s0, strike=k, maturity=big_t))
         else:
             assert type(res) is want_type and str(res) == want_msg
+
+
+def test_price_result_fields_replace_and_value_equality():
+    """PriceResult keeps its five fields in order; dataclasses.replace
+    builds a changed copy, and equality is by value."""
+    assert [f.name for f in dataclasses.fields(PriceResult)] == [
+        "price", "base_term", "r0_term", "u0_term", "truncation"]
+    res = price_approx(make_params(nu=0.05, rho=-0.2), ATM)
+    twin = PriceResult(res.price, res.base_term, res.r0_term, res.u0_term,
+                       res.truncation)
+    assert twin == res and twin is not res
+    moved = dataclasses.replace(res, price=res.price + 1.0)
+    assert moved != res and moved.price == res.price + 1.0
+    assert (moved.base_term, moved.truncation) == (res.base_term,
+                                                   res.truncation)
 
 
 @pytest.mark.parametrize("smile", [price_smile, price_reference_smile])

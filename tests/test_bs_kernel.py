@@ -201,7 +201,8 @@ def test_array_variants_match_scalar():
     for x, y, k, r, t in cases:
         args = np.broadcast_arrays(x, y, k, r, t)
         outputs = bs_kernel.pricer_kernels_arr(x, y, k, r, t)
-        assert len(outputs) == 4
+        # one stacked array, a row per kernel
+        assert outputs.shape == (4, *args[0].shape)
         for got, fn in zip(outputs, (bs_price, gamma_bs, gamma2_bs,
                                      lambda_gamma_bs)):
             want = np.vectorize(fn)(*args)

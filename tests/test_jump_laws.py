@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import pdtrc
+from scipy.special import gammaln, pdtrc, xlogy
 
 import _frozen as fz
 from svj import bs_kernel
@@ -74,6 +74,20 @@ def test_truncation_weights_are_the_pmf():
             assert w == pytest.approx(poisson_pmf(n, lam_t), abs=0, rel=rel)
     tr, weights = truncate_series(0.0)
     assert (tr.n_max, tr.tail_mass) == (0, 0.0) and weights.tolist() == [1.0]
+
+
+def test_truncation_weights_are_bit_identical_to_gammaln():
+    """The weights read ln n! from a cached table that starts at 128
+    entries and grows on demand: they are the bits of
+    exp(xlogy(n, mu) - mu - gammaln(n + 1)) at mu = 0, at a small mu,
+    past the table's first growth (mu = 300, 400-odd terms) and again
+    after it."""
+    for lam_t in (0.0, 0.3, 300.0, 3000.0, 0.3):
+        _, weights = truncate_series(lam_t)
+        n = np.arange(float(len(weights)))
+        want = np.exp(xlogy(n, lam_t) - lam_t - gammaln(n + 1.0))
+        assert weights.tobytes() == want.tobytes()
+    assert len(truncate_series(300.0)[1]) > 128
 
 
 def test_truncation_cap_raises():

@@ -224,6 +224,20 @@ def test_iv_inversion_rejects_out_of_range():
         implied_vol_invert(100.0, c, 0.01)
 
 
+@pytest.mark.parametrize("price, r, match", [
+    (math.nan, 0.01, "price must be finite, got nan"),
+    (math.inf, 0.01, "price must be finite, got inf"),
+    (12.0, math.nan, "r must be finite, got nan"),
+    (12.0, -math.inf, "r must be finite, got -inf"),
+    (np.float32("nan"), 0.01, "price must be finite, got nan")])
+def test_iv_inversion_rejects_non_finite_inputs(price, r, match):
+    """A non-finite price or r is a ParamError at entry, not a
+    BracketError from the no-arbitrage check it would fail."""
+    c = Contract(s0=100.0, strike=90.0, maturity=1.0)
+    with pytest.raises(ParamError, match=match):
+        implied_vol_invert(price, c, r)
+
+
 def _brentq_iv(price, contract, r):
     """The oracle: brentq on bs_price over IV_BRACKET, behind the same
     BracketError checks, as implied_vol_invert inverted before Newton."""
