@@ -18,16 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# price_approx is not called here; it stays bound because
-# perfbench/layertrace.py wraps bench.price_approx by name
-from .approx_pricer import (Contract, ModelParams, price_approx,
-                            price_smile)  # noqa: F401
+# price_approx and implied_vol_invert are not called here; they stay
+# bound because perfbench/layertrace.py wraps them in bench by name
+from .approx_pricer import (Contract, ModelParams, _strike_mask,
+                            price_approx, price_smile)  # noqa: F401
 from .errors import PRICING_ERRORS, ParamError
 from .heston_moments import HestonParams
 from .implied_vol import iv_smile_approx
 from .jump_laws import JumpLaw, Kou, LogNormal, LogUniform
 from .mc_oracle import McConfig, mc_price
-from .reference_pricer import (implied_vol_invert, price_reference,
+from .reference_pricer import (implied_vol, implied_vol_invert,  # noqa: F401
+                               iv_inputs, price_reference,
                                price_reference_smile)
 
 BATCH_S0 = 100.0
@@ -122,13 +123,13 @@ class SmileRow:
     def fail(self, column: str, exc: Exception) -> None:
         self.failures[column] = f"{type(exc).__name__}: {exc}"
 
-    def fill_iv(self, column: str, price: float, contract: Contract,
-                r: float) -> None:
-        """Invert price into an IV cell, or record why that failed; a NaN
+    def fill_iv(self, column: str, price: float, inputs: tuple) -> None:
+        """Invert price into an IV cell, from the strike's
+        reference_pricer.iv_inputs, or record why that failed; a NaN
         (failed) price is skipped."""
         if not math.isnan(price):
             try:
-                setattr(self, column, implied_vol_invert(price, contract, r))
+                setattr(self, column, implied_vol(price, *inputs))
             except PRICING_ERRORS as exc:
                 self.fail(column, exc)
 
@@ -175,23 +176,34 @@ def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
               with_iv: bool = False, analytic: bool = False) -> SmileReport:
     """Price/IV rows for ascending strikes; a failed cell keeps its row.
 
-    A strike that makes no valid Contract raises its ParamError before
-    either leg prices. Each leg prices every strike in one call:
-    price_reference_smile from one shared Fourier integral, and
-    price_smile, or with analytic iv_smile_approx, whose IVs fill
-    approx_iv and leave approx_price NaN. with_iv inverts the prices
-    there are into the IV columns.
+    The strikes are checked once, by comparisons (approx_pricer's
+    _strike_mask), and taken as ascending floats. A strike that makes no
+    valid Contract raises its ParamError before either leg prices; only
+    then are Contracts built, in the given order, to raise it. Each leg
+    prices every strike in one call: price_reference_smile from one
+    shared Fourier integral, and price_smile, or with analytic
+    iv_smile_approx, whose IVs fill approx_iv and leave approx_price
+    NaN. with_iv inverts the prices there are into the IV columns by
+    reference_pricer.implied_vol, both of a strike from its one
+    iv_inputs; an end of the vol bracket is priced only where a bound
+    cannot tell its sign (none on the footnote smiles). Every cell is
+    bit for bit that of the strike priced and inverted on its own
+    (implied_vol_invert).
     """
-    contracts = sorted((Contract(s0=s0, strike=float(k), maturity=maturity)
-                        for k in strikes), key=lambda c: c.strike)
-    strikes = [c.strike for c in contracts]
+    strikes = list(strikes)
+    if all(_strike_mask(s0, strikes, maturity)):
+        strikes = sorted(map(float, strikes))
+    else:
+        strikes = sorted(Contract(s0=s0, strike=float(k),
+                                  maturity=maturity).strike for k in strikes)
     approx_leg, column = ((iv_smile_approx, "approx_iv") if analytic
                           else (price_smile, "approx_price"))
+    s0_f, tau, r = float(s0), float(maturity), params.r
     rows = []
-    for contract, (_, approx), (_, ref) in zip(
-            contracts, approx_leg(params, s0, strikes, maturity),
+    for k, (_, approx), (_, ref) in zip(
+            strikes, approx_leg(params, s0, strikes, maturity),
             price_reference_smile(params, s0, strikes, maturity)):
-        row = SmileRow(strike=contract.strike, maturity=maturity)
+        row = SmileRow(strike=k, maturity=maturity)
         if isinstance(approx, Exception):
             row.fail(column, approx)
         elif analytic:
@@ -203,9 +215,10 @@ def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
         else:
             row.ref_price = ref
         if with_iv:
+            inputs = iv_inputs(s0_f, k, tau, r)
             if not analytic:
-                row.fill_iv("approx_iv", row.approx_price, contract, params.r)
-            row.fill_iv("ref_iv", row.ref_price, contract, params.r)
+                row.fill_iv("approx_iv", row.approx_price, inputs)
+            row.fill_iv("ref_iv", row.ref_price, inputs)
         rows.append(row)
     return SmileReport(rows=rows, with_iv=with_iv)
 

@@ -111,7 +111,10 @@ class JumpLaw:
 # ---------------------------------------------------------------------------
 # Poisson series
 
-@dataclass(frozen=True, slots=True)
+# Built once per smile, so not frozen: a frozen dataclass's __init__
+# sets each field through object.__setattr__. So it compares by value
+# but is not hashable.
+@dataclass(slots=True)
 class SeriesTruncation:
     """Where the Poisson series stops: n_max and the mass past it."""
     n_max: int

@@ -30,7 +30,7 @@ crowding near s = 0 where an under-resolved oscillation can alias. On
 the footnote set's 40 smiles it takes 53 characteristic-function rounds
 in all (a median of 1) against 80 (a median of 2) for c = 1. It
 evaluates phihat(u - i/2) as bates_char_fn at x0 = -rT, where the drift
-i(u - i/2)(x0 + rT) is 0 exactly.
+i(u - i/2)(x0 + rT) is 0 exactly, and bates_char_fn skips it.
 
 Only e^(iu kbar), kbar = ln(S0/K) + rT, depends on the strike in the
 one-integral form, and Re[e^(iu kbar) phihat] is taken as
@@ -42,12 +42,20 @@ of a lone integral. price_reference's one-integral route is its
 one-strike case, bit for bit. The two-integral route stays per
 contract, the fixed baseline.
 
-implied_vol_invert inverts a call price by safeguarded Newton: a
+implied_vol inverts a call price by safeguarded Newton: a
 Corrado-Miller (1996) start, then Newton steps on ln BS(y) from one
-fused price-and-vega call per step (bs_kernel.price_vega, with the
-strike-only constants computed once), bisecting inside the vol bracket
-whenever a step would leave it. The step count is capped by
-IV_MAX_ITER.
+fused price-and-vega call per step (bs_kernel.price_vega), bisecting
+inside the vol bracket whenever a step would leave it. The step count
+is capped by IV_MAX_ITER. It takes the contract as iv_inputs, the
+strike-only constants computed once for every price inverted at a
+strike; implied_vol_invert is its Contract form. The ends of the vol
+bracket are priced, before the steps, only where a closed-form bound
+on BS there cannot tell the sign of BS - price: near the intrinsic
+value for the low end, and for the high end where hi sqrt(tau) is
+small against |ln(S0/K) + r tau| or the price is within about
+(S0 + K) e^(-a^2/2) of S0. The 800 inversions of the footnote smiles
+(four (nu, rho) regimes, bench.MATURITY_GRID x bench.STRIKE_GRID)
+price no end, against two per inversion when both were priced first.
 """
 from __future__ import annotations
 
@@ -82,7 +90,7 @@ def bates_char_fn(u, params: ModelParams, big_t: float, x0: float = 0.0):
     u = np.asarray(u, dtype=complex)
     iu = 1j * u
     q = iu + u * u
-    drift = iu * (x0 + params.r * big_t)
+    shift = x0 + params.r * big_t
 
     if h.nu == 0.0:
         # deterministic variance: Gaussian with integrated variance v0^2 T
@@ -103,7 +111,9 @@ def bates_char_fn(u, params: ModelParams, big_t: float, x0: float = 0.0):
         heston_part = (h.theta * h.kappa * (ratio * big_t - 2.0 * log_term / nu2)
                        + h.sigma0_sq * ratio * (1.0 - edt) / (1.0 - g * edt))
 
-    out = np.exp(drift + heston_part + jump_exponent(params.jumps, u, big_t))
+    if shift != 0.0:    # the one-integral route's x0 = -rT makes it 0
+        heston_part = iu * shift + heston_part
+    out = np.exp(heston_part + jump_exponent(params.jumps, u, big_t))
     return out if out.shape else complex(out)
 
 
@@ -199,7 +209,46 @@ def _corrado_miller(price: float, s0: float, disc_k: float,
 
 
 def implied_vol_invert(price: float, contract: Contract, r: float) -> float:
-    """Black-Scholes IV of a call price by safeguarded Newton.
+    """Black-Scholes IV of a call price by safeguarded Newton: the
+    Contract form of implied_vol, with the same errors.
+
+    Raises ParamError for a non-finite price or r, before any other
+    check; the Contract is checked already.
+    """
+    price, s0, strike, tau, r = (float(price), float(contract.s0),
+                                 float(contract.strike),
+                                 float(contract.maturity), float(r))
+    _check_price(price)
+    if not math.isfinite(r):
+        raise ParamError(f"r must be finite, got {r}")
+    return implied_vol(price, *iv_inputs(s0, strike, tau, r))
+
+
+def iv_inputs(s0: float, strike: float, tau: float, r: float) -> tuple:
+    """(s0, strike, ends, m): what implied_vol needs of a contract,
+    computed once for every price inverted at it. ends are
+    bs_kernel.strike_constants, which price the bracket ends as bs_price
+    prices them, bit for bit; m = ln(S0/K) + r tau. Floats, finite r."""
+    ends = bs_kernel.strike_constants(math.log(s0), strike, r, tau)
+    return s0, strike, ends, math.log(s0 / strike) + r * tau
+
+
+def _check_price(price: float) -> None:
+    # a NaN would fail every comparison
+    if not math.isfinite(price):
+        raise ParamError(f"price must be finite, got {price}")
+
+
+# An end of IV_BRACKET is priced only where these bounds cannot tell
+# its sign: times S0 + K, the margin covers the rounding of BS and of
+# the bounds, about 1e-15 of S0 + K
+_END_MARGIN = 1e-12
+
+
+def implied_vol(price: float, s0: float, strike: float, ends: tuple,
+                m: float) -> float:
+    """Black-Scholes IV of a call price, from the iv_inputs of its
+    contract, by safeguarded Newton.
 
     Starts from Corrado and Miller's estimate, clipped to [1e-3, 5].
     Each step is one bs_kernel.price_vega call: a Newton step on
@@ -209,31 +258,43 @@ def implied_vol_invert(price: float, contract: Contract, r: float) -> float:
     bisection. Stops when a step moves y by <= 1e-15 max(1, y) or BS(y)
     equals the price.
 
-    Raises ParamError for a non-finite price or r, BracketError when
-    the price sits outside the open no-arbitrage interval (intrinsic,
-    spot) or outside the vol bracket, and NumericalError after
-    IV_MAX_ITER steps.
+    Before the steps, BS(lo) <= price <= BS(hi) must hold, and an end
+    where BS equals the price is returned. An end is priced for that
+    only where a bound cannot decide it: vega <= S0 sqrt(tau)/sqrt(2 pi)
+    gives BS(lo) <= intrinsic + S0 lo sqrt(tau)/sqrt(2 pi); and with
+    s = hi sqrt(tau) and a = s/2 - |m|/s > 0, both N(-d+) and N(d-) at
+    hi are at most N(-a) <= e^(-a^2/2)/2, so S0 - BS(hi) <= (S0 +
+    K e^(-r tau)) e^(-a^2/2)/2. A price past either bound by
+    _END_MARGIN (S0 + K) leaves that end unpriced. The steps do not read
+    the ends' values, so the IV and the errors are those of pricing both
+    ends first.
+
+    Raises ParamError for a non-finite price, BracketError when the
+    price sits outside the open no-arbitrage interval (intrinsic, spot)
+    or outside the vol bracket, and NumericalError after IV_MAX_ITER
+    steps.
     """
-    price, s0, strike, tau, r = (float(price), float(contract.s0),
-                                 float(contract.strike),
-                                 float(contract.maturity), float(r))
-    # the Contract is checked already; a NaN would fail every comparison
-    if not math.isfinite(price):
-        raise ParamError(f"price must be finite, got {price}")
-    if not math.isfinite(r):
-        raise ParamError(f"r must be finite, got {r}")
-    x = math.log(s0)
-    intrinsic = max(s0 - strike * math.exp(-r * tau), 0.0)
+    _check_price(price)
+    price_vega = bs_kernel.price_vega
+    _, m_ends, disc_k, sqrt_tau = ends
+    intrinsic = max(s0 - disc_k, 0.0)
     if not intrinsic < price < s0:
         raise BracketError(
             f"price {price} outside the open no-arbitrage interval "
             f"({intrinsic}, {s0})")
     lo, hi = IV_BRACKET
-    # the bracket ends are priced as bs_price prices them, bit for bit
-    price_vega = bs_kernel.price_vega
-    ends = bs_kernel.strike_constants(x, strike, r, tau)
-    f_lo = price_vega(*ends, lo)[0] - price
-    f_hi = price_vega(*ends, hi)[0] - price
+    margin = _END_MARGIN * (s0 + strike)
+    if price > intrinsic + s0 * lo * sqrt_tau / bs_kernel.SQRT_2PI + margin:
+        f_lo = -1.0     # BS(lo) < price
+    else:
+        f_lo = price_vega(*ends, lo)[0] - price
+    s = hi * sqrt_tau
+    a = 0.5 * s - abs(m_ends) / s     # m as the ends are priced
+    if a > 0.0 and s0 - price > ((s0 + disc_k) * 0.5 * math.exp(-0.5 * a * a)
+                                 + margin):
+        f_hi = 1.0      # BS(hi) > price
+    else:
+        f_hi = price_vega(*ends, hi)[0] - price
     if f_lo > 0.0 or f_hi < 0.0:
         raise BracketError(
             f"no implied vol in [{lo}, {hi}] for price {price}")
@@ -244,8 +305,6 @@ def implied_vol_invert(price: float, contract: Contract, r: float) -> float:
     # The steps price at S0 itself and at ln(S0/K) + r tau, which rounds
     # once where ln S0 - ln K cancels near the money: their root is
     # closer to the exact Black-Scholes root.
-    _, _, disc_k, sqrt_tau = ends
-    m = math.log(s0 / strike) + r * tau
     y = _corrado_miller(price, s0, disc_k, sqrt_tau)
     for _ in range(IV_MAX_ITER):
         value, vega = price_vega(s0, m, disc_k, sqrt_tau, y)

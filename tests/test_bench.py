@@ -1,5 +1,7 @@
 """Benchmark harness: sampling, smile reports, timing plumbing."""
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ import pytest
 import svj.bench as bench
 import svj.reference_pricer as reference_pricer
 from conftest import make_params
-from svj.approx_pricer import Contract, maturity_terms, price_approx
+from svj import bs_kernel
+from svj.approx_pricer import (Contract, maturity_terms, price_approx,
+                               price_smile)
 from svj.errors import ParamError, QuadratureError
 from svj.implied_vol import iv_smile_approx
 from svj.mc_oracle import McConfig
@@ -181,6 +185,93 @@ def test_run_smile_runs_one_reference_integral(monkeypatch):
         rep = bench.run_smile(params, 100.0, strikes, 1.0, with_iv=True)
         assert rep.n_failed == 0
         assert calls == [reference_pricer.DEFAULT_REF_QUAD]
+
+
+FOOTNOTE = pathlib.Path(__file__).parents[1] / "params" / "paper_footnote.json"
+# the (nu, rho) regimes of the paper's footnote experiments
+FOOTNOTE_REGIMES = ((0.05, -0.2), (0.05, -0.8), (0.5, -0.2), (0.5, -0.8))
+
+
+def footnote_smiles():
+    """(params, s0, maturity) of the footnote smiles: every regime and
+    bench maturity."""
+    data = json.loads(FOOTNOTE.read_text())
+    for nu, rho in FOOTNOTE_REGIMES:
+        params, s0 = bench.params_from_dict(data, nu, rho)
+        for big_t in bench.MATURITY_GRID:
+            yield params, s0, big_t
+
+
+# STRIKE_GRID unsorted as ints, floats and np.float32s, which
+# _strike_mask tells; with np.int64s it cannot, and Contracts check them
+MASKED_STRIKES = [130, 70.0, np.float32(105.0), 150, 90.0, np.float32(80.0),
+                  100, 95.0, 120.0, np.float32(110.0)]
+UNMASKED_STRIKES = [np.int64(k) if type(k) is int else k
+                    for k in MASKED_STRIKES]
+
+
+def test_run_smile_rows_are_the_per_strike_composition(monkeypatch):
+    """Every cell of run_smile(with_iv=True) on the footnote smiles is,
+    bit for bit, the legs' price of its strike and implied_vol_invert of
+    that price at the strike's Contract; Contracts are built only where
+    _strike_mask cannot check the strikes."""
+    built = []
+
+    def counted(**kw):
+        built.append(kw["strike"])
+        return Contract(**kw)
+
+    monkeypatch.setattr(bench, "Contract", counted)
+    n = 0
+    for params, s0, big_t in footnote_smiles():
+        strikes = sorted(map(float, MASKED_STRIKES))
+        assert strikes == sorted(bench.STRIKE_GRID)
+        approx = price_smile(params, s0, strikes, big_t)
+        ref = reference_pricer.price_reference_smile(params, s0, strikes, big_t)
+        want = []
+        for (k, a), (_, p) in zip(approx, ref):
+            c = Contract(s0=s0, strike=k, maturity=big_t)
+            want.append((k, a.price, p,
+                         reference_pricer.implied_vol_invert(a.price, c, params.r),
+                         reference_pricer.implied_vol_invert(p, c, params.r)))
+        for given, n_built in ((MASKED_STRIKES, 0), (UNMASKED_STRIKES, 10)):
+            built.clear()
+            rep = bench.run_smile(params, s0, given, big_t, with_iv=True)
+            assert len(built) == n_built
+            got = [(row.strike, row.approx_price, row.ref_price, row.approx_iv,
+                    row.ref_iv) for row in rep.rows]
+            assert [[v.hex() for v in row] for row in got] == \
+                [[v.hex() for v in row] for row in want], (params, big_t)
+            assert rep.n_failed == 0
+            n += len(got)
+    assert n == 2 * 4 * len(bench.MATURITY_GRID) * len(bench.STRIKE_GRID)
+
+
+def test_footnote_smiles_price_no_bracket_end(monkeypatch):
+    """The 800 IV inversions of the footnote smiles price neither end of
+    IV_BRACKET: the bounds on BS there decide both signs."""
+    ys = []
+
+    def recorded(*args):
+        ys.append(args[-1])
+        return price_vega(*args)
+
+    price_vega = bs_kernel.price_vega
+    monkeypatch.setattr(bs_kernel, "price_vega", recorded)
+    inversions = []
+
+    def counted(*args):
+        inversions.append(args)
+        return invert(*args)
+
+    invert = bench.implied_vol
+    monkeypatch.setattr(bench, "implied_vol", counted)
+    for params, s0, big_t in footnote_smiles():
+        assert bench.run_smile(params, s0, list(bench.STRIKE_GRID), big_t,
+                               with_iv=True).n_failed == 0
+    assert len(inversions) == 800
+    assert len(ys) > 3 * len(inversions)
+    assert not set(ys) & set(reference_pricer.IV_BRACKET)
 
 
 def test_run_bench_tiny(monkeypatch):

@@ -123,12 +123,12 @@ def test_iv_header(capsys):
 def test_iv_analytic_inverts_only_the_reference(capsys, monkeypatch):
     inverted = []
 
-    def counted(price, contract, r):
-        inverted.append(contract.strike)
-        return invert(price, contract, r)
+    def counted(price, s0, strike, ends, m):
+        inverted.append(strike)
+        return invert(price, s0, strike, ends, m)
 
-    invert = bench.implied_vol_invert
-    monkeypatch.setattr(bench, "implied_vol_invert", counted)
+    invert = bench.implied_vol
+    monkeypatch.setattr(bench, "implied_vol", counted)
     code, _, _ = run_cli(capsys, [
         "iv", "--params", str(FOOTNOTE), "--nu", "0.05", "--rho", "-0.2",
         "--strikes", "90,100,110", "--maturity", "0.3", "--analytic"])

@@ -1,5 +1,6 @@
 """Fourier reference pricer and IV inversion."""
 import cmath
+import collections
 import dataclasses
 import itertools
 import json
@@ -347,6 +348,82 @@ def test_newton_iv_step_cap_raises(monkeypatch):
     with pytest.raises(NumericalError, match="not converged") as err:
         implied_vol_invert(price, c, 0.01)
     assert not isinstance(err.value, BracketError)
+
+
+def _eager_iv(price, contract, r):
+    """The oracle: both bracket ends priced first, with their BracketError
+    and exact-hit returns, as implied_vol_invert did before it priced an
+    end only where a bound cannot tell its sign; where the ends pass,
+    the steps are implied_vol_invert's."""
+    s0, k, tau = contract.s0, contract.strike, contract.maturity
+    x = math.log(s0)
+    if max(s0 - k * math.exp(-r * tau), 0.0) < price < s0:
+        lo, hi = reference_pricer.IV_BRACKET
+        f_lo = bs_kernel.bs_price(x, lo, k, r, tau) - price
+        f_hi = bs_kernel.bs_price(x, hi, k, r, tau) - price
+        if f_lo > 0.0 or f_hi < 0.0:
+            raise BracketError("outside the vol bracket")
+        if f_lo == 0.0:
+            return lo
+        if f_hi == 0.0:
+            return hi
+    return implied_vol_invert(price, contract, r)
+
+
+def _bracket_end_prices():
+    """(price, k, t, r): BS at each end of IV_BRACKET over IV_SWEEP's
+    contracts, and 1 ulp either side of it."""
+    x = math.log(100.0)
+    out = []
+    for k, t, r in sorted({(k, t, r) for k, t, _, r in IV_SWEEP}):
+        for y in reference_pricer.IV_BRACKET:
+            p = bs_kernel.bs_price(x, y, k, r, t)
+            out += [(q, k, t, r) for q in (math.nextafter(p, -math.inf), p,
+                                           math.nextafter(p, math.inf))]
+    return out
+
+
+def test_lazy_bracket_ends_agree_with_the_eager_check():
+    """Over IV_SWEEP's prices, and BS at each bracket end and 1 ulp
+    either side, implied_vol_invert raises the eager oracle's exception
+    type or returns its IV bit for bit, though it prices an end only
+    where its bound cannot decide."""
+    x = math.log(100.0)
+    cases = [(bs_kernel.bs_price(x, y, k, r, t), k, t, r)
+             for k, t, y, r in IV_SWEEP]
+    cases += _bracket_end_prices()
+    lo, hi = reference_pricer.IV_BRACKET
+    outcomes = collections.Counter()
+    for price, k, t, r in cases:
+        c = Contract(s0=100.0, strike=k, maturity=t)
+        try:
+            want = _eager_iv(price, c, r)
+        except NumericalError as exc:
+            with pytest.raises(type(exc)):
+                implied_vol_invert(price, c, r)
+            outcomes[type(exc).__name__] += 1
+            continue
+        got = implied_vol_invert(price, c, r)
+        assert got.hex() == want.hex(), (price, k, t, r)
+        outcomes["lo" if got == lo else "hi" if got == hi else "iv"] += 1
+    # every branch of the eager check is reached
+    assert set(outcomes) == {"BracketError", "lo", "hi", "iv"}, outcomes
+    assert outcomes["iv"] >= len(IV_SWEEP) // 2
+
+
+def test_out_of_bracket_price_raises_bracket_error_before_the_steps(monkeypatch):
+    """A price between intrinsic and BS(lo), or between BS(hi) and spot,
+    raises BracketError even when IV_MAX_ITER would stop the steps."""
+    monkeypatch.setattr(reference_pricer, "IV_MAX_ITER", 2)
+    x = math.log(100.0)
+    lo, hi = reference_pricer.IV_BRACKET
+    c = Contract(s0=100.0, strike=100.0, maturity=1.0)
+    below = 0.5 * bs_kernel.bs_price(x, lo, 100.0, 0.0, 1.0)
+    above = math.nextafter(bs_kernel.bs_price(x, hi, 100.0, 0.0, 1.0), math.inf)
+    assert 0.0 < below and above < 100.0
+    for price in (below, above):
+        with pytest.raises(BracketError, match="no implied vol in"):
+            implied_vol_invert(price, c, 0.0)
 
 
 def test_bad_method_rejected():
