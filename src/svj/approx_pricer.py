@@ -310,23 +310,32 @@ def price_smile(params: ModelParams, s0: float, strikes, big_t: float) -> list:
         maturity_terms(params, big_t), s0, valid))
 
 
+def price_smile_checked(params: ModelParams, s0: float, strikes,
+                        big_t: float) -> list:
+    """price_smile's pass on checked strikes, ascending ones that
+    _strike_mask passes: a PriceResult per strike, or the failure of
+    the pass paired with each."""
+    return results_per_strike(lambda valid: _price_strikes(
+        maturity_terms(params, big_t), s0, valid), strikes)
+
+
 def pair_strikes(s0: float, strikes, big_t: float, price) -> list:
     """(strike, result | Exception) per strike, ascending, NaN last.
 
     A strike that is no valid Contract gets its own ParamError. The
     valid strikes go, as one float array, to one call of price(valid
     strikes), which returns a result per strike; its failure is paired
-    with every valid strike. A Contract is built only for a strike that
-    _strike_mask does not pass, to give its error. Where _strike_mask
-    passes every strike, none is NaN, and the strikes are sorted and
-    priced as they stand.
+    with every valid strike (results_per_strike). A Contract is built
+    only for a strike that _strike_mask does not pass, to give its
+    error. Where _strike_mask passes every strike, none is NaN, and the
+    strikes are sorted and priced as they stand.
     """
     if len(strikes) == 0:
         raise ParamError("strikes must be nonempty")
     mask = _strike_mask(s0, strikes, big_t)
     if all(mask):
         strikes = sorted(strikes)
-        return list(zip(strikes, _price_valid(price, strikes)))
+        return list(zip(strikes, results_per_strike(price, strikes)))
     # k != k for NaN alone; sorted() would leave a NaN where it stands
     pairs = sorted(zip(strikes, mask), key=lambda p: (p[0] != p[0], p[0]))
     results = [None] * len(pairs)
@@ -338,13 +347,13 @@ def pair_strikes(s0: float, strikes, big_t: float, price) -> list:
                 results[i] = exc
     valid = [i for i, res in enumerate(results) if res is None]
     if valid:
-        priced = _price_valid(price, [pairs[i][0] for i in valid])
+        priced = results_per_strike(price, [pairs[i][0] for i in valid])
         for i, res in zip(valid, priced):
             results[i] = res
     return [(k, res) for (k, _), res in zip(pairs, results)]
 
 
-def _price_valid(price, strikes) -> list:
+def results_per_strike(price, strikes) -> list:
     """price(strikes as one float array): one pass over every valid
     strike, whose failure is paired with each of them."""
     try:

@@ -21,15 +21,16 @@ import numpy as np
 # price_approx and implied_vol_invert are not called here; they stay
 # bound because perfbench/layertrace.py wraps them in bench by name
 from .approx_pricer import (Contract, ModelParams, _strike_mask,
-                            price_approx, price_smile)  # noqa: F401
+                            price_approx, price_smile,  # noqa: F401
+                            price_smile_checked)
 from .errors import PRICING_ERRORS, ParamError
 from .heston_moments import HestonParams
-from .implied_vol import iv_smile_approx
+from .implied_vol import iv_smile_approx_checked
 from .jump_laws import JumpLaw, Kou, LogNormal, LogUniform
 from .mc_oracle import McConfig, mc_price
 from .reference_pricer import (implied_vol, implied_vol_invert,  # noqa: F401
                                iv_inputs, price_reference,
-                               price_reference_smile)
+                               price_reference_smile_checked)
 
 BATCH_S0 = 100.0
 STRIKE_GRID = (70.0, 80.0, 90.0, 95.0, 100.0, 105.0, 110.0, 120.0, 130.0, 150.0)
@@ -180,10 +181,12 @@ def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
     _strike_mask), and taken as ascending floats. A strike that makes no
     valid Contract raises its ParamError before either leg prices; only
     then are Contracts built, in the given order, to raise it. Each leg
-    prices every strike in one call: price_reference_smile from one
-    shared Fourier integral, and price_smile, or with analytic
-    iv_smile_approx, whose IVs fill approx_iv and leave approx_price
-    NaN. with_iv inverts the prices there are into the IV columns by
+    takes the checked strikes and prices every one in one call, a
+    failure of the call failing each strike's cell:
+    price_reference_smile_checked from one shared Fourier integral, and
+    price_smile_checked, or with analytic iv_smile_approx_checked, whose
+    IVs fill approx_iv and leave approx_price NaN. with_iv inverts the
+    prices there are into the IV columns by
     reference_pricer.implied_vol, both of a strike from its one
     iv_inputs; an end of the vol bracket is priced only where a bound
     cannot tell its sign (none on the footnote smiles). Every cell is
@@ -191,18 +194,20 @@ def run_smile(params: ModelParams, s0: float, strikes, maturity: float,
     (implied_vol_invert).
     """
     strikes = list(strikes)
+    if not strikes:
+        raise ParamError("strikes must be nonempty")
     if all(_strike_mask(s0, strikes, maturity)):
         strikes = sorted(map(float, strikes))
     else:
         strikes = sorted(Contract(s0=s0, strike=float(k),
                                   maturity=maturity).strike for k in strikes)
-    approx_leg, column = ((iv_smile_approx, "approx_iv") if analytic
-                          else (price_smile, "approx_price"))
+    approx_leg, column = ((iv_smile_approx_checked, "approx_iv") if analytic
+                          else (price_smile_checked, "approx_price"))
     s0_f, tau, r = float(s0), float(maturity), params.r
     rows = []
-    for k, (_, approx), (_, ref) in zip(
+    for k, approx, ref in zip(
             strikes, approx_leg(params, s0, strikes, maturity),
-            price_reference_smile(params, s0, strikes, maturity)):
+            price_reference_smile_checked(params, s0, strikes, maturity)):
         row = SmileRow(strike=k, maturity=maturity)
         if isinstance(approx, Exception):
             row.fail(column, approx)

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import bs_kernel, jump_laws
 from .approx_pricer import (ModelParams, _price_strikes, maturity_terms,
-                           pair_strikes)
+                           pair_strikes, results_per_strike)
 from .errors import PRICING_ERRORS, ParamError
 from .jump_laws import LogNormal
 
@@ -64,6 +64,22 @@ def iv_smile_approx(params: ModelParams, s0: float, strikes,
     list of (strike, IvPoint | Exception), paired as price_smile pairs
     its prices, from its one pass. A strike whose vega or its division
     fails keeps that failure alone."""
+    return [(k, _iv_point(k, big_t, res)) for k, res in pair_strikes(
+        s0, strikes, big_t, _corrections(params, s0, big_t))]
+
+
+def iv_smile_approx_checked(params: ModelParams, s0: float, strikes,
+                            big_t: float) -> list:
+    """iv_smile_approx on checked strikes (as
+    approx_pricer.price_smile_checked takes them): an IvPoint or failure
+    per strike."""
+    results = results_per_strike(_corrections(params, s0, big_t), strikes)
+    return [_iv_point(k, big_t, res) for k, res in zip(strikes, results)]
+
+
+def _corrections(params: ModelParams, s0: float, big_t: float):
+    """The pass of iv_smile_approx: valid strikes -> (iv, i1, i2), or a
+    failure, per strike."""
     def corrections(valid):
         mt = maturity_terms(params, big_t)
         x = math.log(s0)
@@ -79,9 +95,12 @@ def iv_smile_approx(params: ModelParams, s0: float, strikes,
                 out.append((mt.v0 + i1 + i2, i1, i2))
         return out
 
-    return [(k, res if isinstance(res, Exception) else
-             IvPoint(k, big_t, *res, outside_validity=res[0] <= 0.0))
-            for k, res in pair_strikes(s0, strikes, big_t, corrections)]
+    return corrections
+
+
+def _iv_point(strike, big_t: float, res):
+    return (res if isinstance(res, Exception) else
+            IvPoint(strike, big_t, *res, outside_validity=res[0] <= 0.0))
 
 
 def iv_surface_approx(params: ModelParams, strike: float, big_t: float,

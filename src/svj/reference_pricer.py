@@ -34,19 +34,22 @@ i(u - i/2)(x0 + rT) is 0 exactly, and bates_char_fn skips it.
 
 Only e^(iu kbar), kbar = ln(S0/K) + rT, depends on the strike in the
 one-integral form, and Re[e^(iu kbar) phihat] is taken as
-cos(u kbar) Re phihat - sin(u kbar) Im phihat. price_reference_smile
-prices a maturity's strikes from one stacked integral: the
-characteristic function is evaluated once per node, every strike's
-integrand shares the adaptive node set, and each meets the tolerances
-of a lone integral. price_reference's one-integral route is its
-one-strike case, bit for bit. The two-integral route stays per
-contract, the fixed baseline.
+|phihat| cos(u kbar + arg phihat): the amplitude c |phihat|/(u^2 + 1/4)
+and the phase arg phihat once per node, then one cosine, one add and
+one multiply per strike and node. price_reference_smile prices a
+maturity's strikes from one stacked integral: the characteristic
+function is evaluated once per node, every strike's integrand shares
+the adaptive node set, and each meets the tolerances of a lone
+integral. price_reference's one-integral route is its one-strike case,
+bit for bit. The two-integral route stays per contract, the fixed
+baseline.
 
-implied_vol inverts a call price by safeguarded Newton: a
-Corrado-Miller (1996) start, then Newton steps on ln BS(y) from one
-fused price-and-vega call per step (bs_kernel.price_vega), bisecting
-inside the vol bracket whenever a step would leave it. The step count
-is capped by IV_MAX_ITER. It takes the contract as iv_inputs, the
+implied_vol inverts a call price by safeguarded Halley steps: a
+Corrado-Miller (1996) start, then third-order steps on ln BS(y) from
+one fused price-and-vega call per step (bs_kernel.price_vega; the
+volga comes from the same d+-), bisecting inside the vol bracket
+whenever a step would leave it. The step count is capped by
+IV_MAX_ITER. It takes the contract as iv_inputs, the
 strike-only constants computed once for every price inverted at a
 strike; implied_vol_invert is its Contract form. The ends of the vol
 bracket are priced, before the steps, only where a closed-form bound
@@ -55,7 +58,8 @@ value for the low end, and for the high end where hi sqrt(tau) is
 small against |ln(S0/K) + r tau| or the price is within about
 (S0 + K) e^(-a^2/2) of S0. The 800 inversions of the footnote smiles
 (four (nu, rho) regimes, bench.MATURITY_GRID x bench.STRIKE_GRID)
-price no end, against two per inversion when both were priced first.
+price no end, against two per inversion when both were priced first,
+and take 3.18 price_vega calls each (4.61 with Newton steps).
 """
 from __future__ import annotations
 
@@ -65,7 +69,8 @@ import numpy as np
 from scipy.special import log1p
 
 from . import bs_kernel, heston_moments
-from .approx_pricer import Contract, ModelParams, pair_strikes
+from .approx_pricer import (Contract, ModelParams, pair_strikes,
+                            results_per_strike)
 from .errors import BracketError, NumericalError, ParamError
 from .jump_laws import jump_exponent
 from .quadrature import QuadratureConfig, integrate_semi_infinite
@@ -102,14 +107,18 @@ def bates_char_fn(u, params: ModelParams, big_t: float, x0: float = 0.0):
         d = np.sqrt(xi * xi + nu2 * q)
         # xi + d cancels where Re(xi conj d) < 0; there it is -nu^2 q/(xi - d)
         flip = (xi * d.conj()).real < 0.0
-        with np.errstate(invalid="ignore"):  # 0/0 at q = 0, left unused
-            xpd = np.where(flip, -nu2 * q / (xi - d), xi + d)
+        if flip.any():
+            with np.errstate(invalid="ignore"):  # 0/0 at q = 0, left unused
+                xpd = np.where(flip, -nu2 * q / (xi - d), xi + d)
+        else:
+            xpd = xi + d
         ratio = -q / xpd                          # (xi - d)/nu^2
         g = nu2 * ratio / xpd                     # (xi - d)/(xi + d)
         edt = np.exp(-d * big_t)
-        log_term = log1p(-g * edt) - log1p(-g)
+        gedt = g * edt
+        log_term = log1p(-gedt) - log1p(-g)
         heston_part = (h.theta * h.kappa * (ratio * big_t - 2.0 * log_term / nu2)
-                       + h.sigma0_sq * ratio * (1.0 - edt) / (1.0 - g * edt))
+                       + h.sigma0_sq * ratio * (1.0 - edt) / (1.0 - gedt))
 
     if shift != 0.0:    # the one-integral route's x0 = -rT makes it 0
         heston_part = iu * shift + heston_part
@@ -133,10 +142,13 @@ def _price_one_integral(params, s0, strikes, big_t) -> list:
         u = c * t
         # x0 = -rT cancels the drift exactly: phihat is the CF of X_T - rT
         phi = bates_char_fn(u - 0.5j, params, big_t, -rt)
-        # Re[e^{iu kbar} phihat], strike by strike
-        ukbar = u * kbar
-        re = np.cos(ukbar) * phi.real - np.sin(ukbar) * phi.imag
-        return c * re / (u * u + 0.25)
+        # Re[e^{iu kbar} phihat] = |phihat| cos(u kbar + arg phihat): the
+        # amplitude and phase once per node, one cosine per strike and node
+        out = u * kbar
+        out += np.angle(phi)
+        np.cos(out, out=out)
+        out *= c * np.abs(phi) / (u * u + 0.25)
+        return out
 
     ints = integrate_semi_infinite(integrand, DEFAULT_REF_QUAD).value.tolist()
     # prefactor e^{-rT} sqrt(F K) = sqrt(S0 K) e^{-rT/2}
@@ -157,6 +169,15 @@ def price_reference_smile(params: ModelParams, s0: float, strikes,
     """
     return pair_strikes(s0, strikes, big_t, lambda valid: _price_one_integral(
         params, float(s0), valid, float(big_t)))
+
+
+def price_reference_smile_checked(params: ModelParams, s0: float, strikes,
+                                  big_t: float) -> list:
+    """price_reference_smile's integral on checked strikes (as
+    approx_pricer.price_smile_checked takes them): a price per strike,
+    or the failure of the integration paired with each."""
+    return results_per_strike(lambda valid: _price_one_integral(
+        params, float(s0), valid, float(big_t)), strikes)
 
 
 def _in_money_probs(params, s0, strike, big_t):
@@ -191,9 +212,9 @@ def price_reference(params: ModelParams, contract: Contract,
 
 
 IV_BRACKET = (1e-6, 10.0)
-# Newton steps and bisections per inversion. A well-posed price takes a
-# handful of Newton steps; 54 bisections alone shrink IV_BRACKET below
-# the 1e-15 stopping step.
+# Halley or Newton steps and bisections per inversion. A well-posed
+# price takes a handful of steps; 54 bisections alone shrink IV_BRACKET
+# below the 1e-15 stopping step.
 IV_MAX_ITER = 100
 
 
@@ -209,7 +230,7 @@ def _corrado_miller(price: float, s0: float, disc_k: float,
 
 
 def implied_vol_invert(price: float, contract: Contract, r: float) -> float:
-    """Black-Scholes IV of a call price by safeguarded Newton: the
+    """Black-Scholes IV of a call price by safeguarded Halley steps: the
     Contract form of implied_vol, with the same errors.
 
     Raises ParamError for a non-finite price or r, before any other
@@ -248,15 +269,20 @@ _END_MARGIN = 1e-12
 def implied_vol(price: float, s0: float, strike: float, ends: tuple,
                 m: float) -> float:
     """Black-Scholes IV of a call price, from the iv_inputs of its
-    contract, by safeguarded Newton.
+    contract, by safeguarded Halley steps.
 
     Starts from Corrado and Miller's estimate, clipped to [1e-3, 5].
-    Each step is one bs_kernel.price_vega call: a Newton step on
-    ln(BS(y) / price), whose root is BS's, and the sign of BS(y) - price
-    narrows the bracket [lo, hi] = IV_BRACKET. A step that leaves the
-    bracket, or a value or vega that underflows to 0, is replaced by
-    bisection. Stops when a step moves y by <= 1e-15 max(1, y) or BS(y)
-    equals the price.
+    Each step is one bs_kernel.price_vega call, and the sign of
+    BS(y) - price narrows the bracket [lo, hi] = IV_BRACKET. The step is
+    Halley's on f = ln(BS(y) / price), whose root is BS's:
+    y - 2 f f' / (2 f'^2 - f f''), with f' = vega/BS and f'' = f'
+    (d+ d- / y - f'), since the volga d^2 BS/dy^2 is vega d+ d- / y;
+    d+ d- is formed from the m and y sqrt(tau) of the price call, with
+    no further transcendental call. Where 2 f'^2 - f f'' is not
+    positive, the step is Newton's, y - f/f'.
+    A step that leaves the bracket, or a value or vega that underflows
+    to 0, is replaced by bisection. Stops when a step moves y by
+    <= 1e-15 max(1, y) or BS(y) equals the price.
 
     Before the steps, BS(lo) <= price <= BS(hi) must hold, and an end
     where BS equals the price is returned. An end is priced for that
@@ -316,13 +342,23 @@ def implied_vol(price: float, s0: float, strike: float, ends: tuple,
         else:
             hi = y
         tol = 1e-15 * max(1.0, y)
-        y_new = math.inf  # bisect unless a Newton step is taken
+        y_new = math.inf  # bisect unless a step is taken
         if value > 0.0 and vega > 0.0:
-            # Newton on ln(value / price): far out of the money the value
-            # is exp(-a / y^2)-like, and steps on the value itself crawl
-            g = (math.log1p(fy / price) if 2.0 * fy > -price
+            # steps on f = ln(value / price): far out of the money the
+            # value is exp(-a / y^2)-like, and steps on the value itself
+            # crawl
+            f = (math.log1p(fy / price) if 2.0 * fy > -price
                  else math.log(value) - math.log(price))
-            y_new = y - g * value / vega
+            f1 = vega / value
+            # volga = vega d+ d- / y, with d+ d- = (m/s)^2 - s^2/4 at
+            # s = y sqrt(tau), as price_vega forms d+-
+            ysq = y * sqrt_tau
+            mr = m / ysq
+            f2 = f1 * ((mr * mr - 0.25 * ysq * ysq) / y - f1)
+            den = 2.0 * f1 * f1 - f * f2
+            # Halley; Newton where its denominator is not positive
+            y_new = y - (2.0 * f * f1 / den if den > 0.0
+                         else f * value / vega)
         if not (lo < y_new < hi or abs(y_new - y) <= tol):
             y_new = 0.5 * (lo + hi)
         if abs(y_new - y) <= tol:

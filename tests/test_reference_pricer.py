@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import log1p
 
 import _frozen as fz
 from conftest import make_params
@@ -25,9 +26,11 @@ from svj.bench import (MATURITY_GRID, STRIKE_GRID, params_from_dict,
 from svj.errors import (BracketError, NumericalError, ParamError,
                         QuadratureError)
 from svj.heston_moments import HestonParams
-from svj.jump_laws import JumpLaw, Kou, LogNormal, LogUniform
-from svj.reference_pricer import (bates_char_fn, implied_vol_invert,
-                                  price_reference, price_reference_smile)
+from svj.jump_laws import JumpLaw, Kou, LogNormal, LogUniform, jump_exponent
+from svj.quadrature import integrate_semi_infinite
+from svj.reference_pricer import (DEFAULT_REF_QUAD, bates_char_fn,
+                                  implied_vol_invert, price_reference,
+                                  price_reference_smile)
 
 ATM = Contract(s0=100.0, strike=100.0, maturity=0.3)
 
@@ -83,6 +86,61 @@ def test_char_fn_rejects_non_finite_inputs(big_t, x0):
         warnings.simplefilter("error")
         with pytest.raises(ParamError):
             bates_char_fn(np.array([0.5, 1.0]), params, big_t, x0)
+
+
+def _char_fn_always_flipped(u, params, big_t, x0):
+    """The oracle: bates_char_fn for nu > 0 with the cancellation form
+    of xi + d built at every node and used where it flips, as before
+    bates_char_fn built it only where some node flips; also the number
+    of nodes that flip."""
+    h = params.heston
+    iu = 1j * u
+    q = iu + u * u
+    nu2 = h.nu * h.nu
+    xi = h.kappa - 1j * h.rho * h.nu * u
+    d = np.sqrt(xi * xi + nu2 * q)
+    flip = (xi * d.conj()).real < 0.0
+    with np.errstate(invalid="ignore"):
+        xpd = np.where(flip, -nu2 * q / (xi - d), xi + d)
+    ratio = -q / xpd
+    g = nu2 * ratio / xpd
+    edt = np.exp(-d * big_t)
+    log_term = log1p(-g * edt) - log1p(-g)
+    heston_part = (h.theta * h.kappa * (ratio * big_t - 2.0 * log_term / nu2)
+                   + h.sigma0_sq * ratio * (1.0 - edt) / (1.0 - g * edt))
+    shift = x0 + params.r * big_t
+    if shift != 0.0:
+        heston_part = iu * shift + heston_part
+    out = np.exp(heston_part + jump_exponent(params.jumps, u, big_t))
+    return out, int(np.count_nonzero(flip))
+
+
+def test_char_fn_builds_the_cancellation_form_only_where_a_node_flips():
+    """On both sides of the guard, bates_char_fn is bit for bit the form
+    that builds -nu^2 q/(xi - d) at every node: the kappa < rho nu sets,
+    where nodes flip, on the routes' contours u - i and u - i/2, and the
+    footnote set, where none does, on u - i/2 at x0 = -rT."""
+    t = np.linspace(0.0, 40.0, 241)[1:]     # CF(-i) is 0/0 where flipped
+    cases = []
+    for kappa, nu, rho in ((0.2, 0.5, 0.9), (0.1, 1.0, 0.5), (0.05, 0.3, 0.99)):
+        params = ModelParams(
+            heston=HestonParams(kappa=kappa, theta=0.2, nu=nu, rho=rho,
+                                sigma0_sq=0.2),
+            jumps=JumpLaw(0.5, LogNormal(mu_j=-0.05, sigma_j=0.2)), r=0.01)
+        cases += [(t - 1j, params, big_t, math.log(100.0))
+                  for big_t in (0.1, 1.0, 5.0)]
+        cases += [(t - 0.5j, params, 1.0, -0.01)]
+    data = json.loads(FOOTNOTE.read_text())
+    for nu, rho in REGIMES:
+        params, _ = params_from_dict(data, nu, rho)
+        cases += [(t - 0.5j, params, big_t, -params.r * big_t)
+                  for big_t in MATURITY_GRID]
+    flipped = []
+    for u, params, big_t, x0 in cases:
+        want, n_flips = _char_fn_always_flipped(u, params, big_t, x0)
+        assert np.array_equal(bates_char_fn(u, params, big_t, x0), want)
+        flipped.append(n_flips > 0)
+    assert flipped == [True] * 12 + [False] * 4 * len(MATURITY_GRID)
 
 
 def test_char_fn_at_zero_is_one():
@@ -309,11 +367,12 @@ def test_newton_iv_matches_brentq_over_sweep():
 
 
 def test_newton_iv_bisects_when_a_step_leaves_the_bracket(monkeypatch):
-    """Far out of the money a Newton step leaves the bracket. Replaying
-    the bracket from the recorded evaluations shows the bisection taken
-    instead, and the IV still agrees with brentq's."""
-    c = Contract(s0=100.0, strike=200.0, maturity=0.01)
-    price = bs_kernel.bs_price(math.log(100.0), 1.0, 200.0, 0.0, 0.01)
+    """Far out of the money, where the price's rounding noise sets the
+    sign of BS - price near the root, a Halley step leaves the bracket.
+    Replaying the bracket from the recorded evaluations shows the
+    bisection taken instead, and the IV still agrees with brentq's."""
+    c = Contract(s0=100.0, strike=300.0, maturity=0.01)
+    price = bs_kernel.bs_price(math.log(100.0), 2.0, 300.0, 0.0, 0.01)
     calls = []
 
     def recorded(*args):
@@ -528,6 +587,47 @@ def test_smile_takes_few_refinement_rounds(monkeypatch):
     assert len(calls) == 4 * len(MATURITY_GRID)
     assert sum(calls) <= 56, calls
     assert statistics.median(calls) == 1, calls
+
+
+def _cos_sin_smile(params, s0, strikes, big_t):
+    """The oracle: the one-integral smile with the strike factor of its
+    integrand taken as cos(u kbar) Re phihat - sin(u kbar) Im phihat,
+    as before the amplitude-phase form."""
+    rt = params.r * big_t
+    kbar = np.array([[math.log(s0 / k) + rt] for k in strikes])
+    iv = heston_moments.expected_integrated_variance(params.heston, big_t)
+    c = 2.0 / math.sqrt(iv) if iv > 0.0 else 1.0
+
+    def integrand(t):
+        u = c * t
+        phi = bates_char_fn(u - 0.5j, params, big_t, -rt)
+        ukbar = u * kbar
+        re = np.cos(ukbar) * phi.real - np.sin(ukbar) * phi.imag
+        return c * re / (u * u + 0.25)
+
+    ints = integrate_semi_infinite(integrand, DEFAULT_REF_QUAD).value
+    disc = math.exp(-0.5 * rt)
+    return [s0 - math.sqrt(s0 * k) * disc / math.pi * v
+            for k, v in zip(strikes, ints)]
+
+
+def test_amplitude_phase_integrand_matches_the_cos_sin_form():
+    """|phihat| cos(u kbar + arg phihat) prices the footnote set's 40
+    smiles and the kou, loguniform and nu0 panels within 1e-13 of the
+    cos/sin form of Re[e^{iu kbar} phihat]."""
+    data = json.loads(FOOTNOTE.read_text())
+    panel = [params_from_dict(data, nu, rho) for nu, rho in REGIMES]
+    panel += [(params, 100.0) for case in ("kou", "loguniform", "nu0")
+              for params in SMILE_CASES[case]]
+    n = 0
+    for params, s0 in panel:
+        for big_t in MATURITY_GRID:
+            got = price_reference_smile(params, s0, list(STRIKE_GRID), big_t)
+            want = _cos_sin_smile(params, s0, sorted(STRIKE_GRID), big_t)
+            for (k, price), v in zip(got, want):
+                assert abs(price - v) <= 1e-13, (params, big_t, k)
+                n += 1
+    assert n == 7 * len(MATURITY_GRID) * len(STRIKE_GRID)
 
 
 def test_one_strike_smile_is_price_reference():
